@@ -45,9 +45,13 @@
 //
 // Usage:
 //
-//	afs-bench [-out BENCH_10.json] [-trials N] [-workers W] [-quick]
+//	afs-bench [-out file] [-trials N] [-workers W] [-quick]
 //	          [-ref-tps T] [-ref-label L] [-metrics addr] [-trace file]
 //	          [-fleet-json file] [-cpuprofile file] [-memprofile file]
+//
+// The JSON report goes to stdout unless -out names a file; pass the next
+// BENCH_N.json explicitly to record a new checked-in artifact, so a bare
+// run never overwrites an existing one.
 //
 // -fleet-json embeds the fleet section of a cmd/afs-fleet -out artifact
 // (typically a -lanebatch soak) so the sharded fleet's stream-rounds/sec
@@ -189,19 +193,6 @@ type report struct {
 		SpeedupVsBench6  float64 `json:"speedup_vs_bench6_bitplane"`
 	} `json:"bitplane"`
 
-	// Tile is the heavy-window micro: near-threshold syndromes at
-	// d ∈ {11, 17, 21} decoded by the sequential full pipeline and by the
-	// tile-parallel Union-Find engine on the same pregenerated syndrome
-	// set, interleaved. Two speedups are reported per point: the measured
-	// wall-clock ratio (bounded by this host's cores — informational) and
-	// the deterministic critical-path model speedup (sequential work units
-	// over slowest-tile-plus-reconciliation units, the gain a decoder with
-	// one growth unit per tile realizes; bit-identical across hosts and
-	// worker counts, and what the CI perf floor pins at d=21).
-	Tile struct {
-		Points []tilePoint `json:"points"`
-	} `json:"tile_heavy_window"`
-
 	Macro struct {
 		Distances       []int     `json:"distances"`
 		Ps              []float64 `json:"ps"`
@@ -339,24 +330,6 @@ type fleetPoint struct {
 	CorrectionsTotal uint64  `json:"corrections_committed"`
 }
 
-type tilePoint struct {
-	Distance      int     `json:"d"`
-	P             float64 `json:"p"`
-	TileSize      int     `json:"tile_size"`
-	Tiles         int     `json:"tiles"`
-	Workers       int     `json:"workers"`
-	Syndromes     int     `json:"syndromes"`
-	MeanDefects   float64 `json:"mean_defects"`
-	SeqNSPerOp    float64 `json:"sequential_ns_per_decode"`
-	TileNSPerOp   float64 `json:"tile_ns_per_decode"`
-	WallSpeedup   float64 `json:"wall_speedup"`
-	SeqUnits      int64   `json:"seq_units"`
-	CritUnits     int64   `json:"crit_units"`
-	ModelSpeedup  float64 `json:"model_critical_path_speedup"`
-	TilesTouched  float64 `json:"mean_tiles_touched"`
-	BoundaryMerge float64 `json:"mean_boundary_merges"`
-}
-
 type benchPoint struct {
 	Distance      int     `json:"d"`
 	P             float64 `json:"p"`
@@ -373,7 +346,7 @@ type reference struct {
 
 func main() {
 	var (
-		out      = flag.String("out", "BENCH_10.json", "output report path (\"-\" for stdout only)")
+		out      = flag.String("out", "-", "output report path (\"-\" for stdout)")
 		trialsN  = flag.Uint64("trials", 20000, "Monte-Carlo trials per sweep point")
 		workers  = flag.Int("workers", 0, "worker goroutines (0 = all CPUs)")
 		quick    = flag.Bool("quick", false, "shrink budgets ~10x for a smoke run")
@@ -449,7 +422,6 @@ func main() {
 
 	benchBatch(&r, *quick)
 	benchBitPlane(&r, *quick)
-	benchTile(&r, *quick)
 
 	distances := []int{3, 5, 7, 9, 11}
 	ps := []float64{1e-3, 3e-3, 1e-2}
@@ -803,97 +775,6 @@ func benchBitPlane(r *report, quick bool) {
 	fmt.Printf("vs batch kernel same run (%.0f ns/trial): %.2fx; vs BENCH_5 batch (%.0f ns/trial): %.2fx; vs BENCH_6 bit-plane (%.0f ns/trial): %.2fx\n",
 		r.Batch.NSPerTrial, r.BitPlane.SpeedupVsBatch, bench5BatchNS, r.BitPlane.SpeedupVsBench5,
 		bench6BitPlaneNS, r.BitPlane.SpeedupVsBench6)
-}
-
-// benchTile times the heavy-window micro: the tile-parallel Union-Find
-// engine vs the sequential full decoder over the same pregenerated
-// near-threshold syndrome sets, interleaved in alternating slices so
-// machine drift cancels. Near threshold every window is heavy — many
-// multi-defect clusters spanning the lattice — which is exactly the punt
-// traffic the tile engine exists for; at the design point (p=1e-3) these
-// windows are the <0.1% tail the triage layer cannot certify.
-//
-// Wall-clock numbers are honest for this host and therefore bounded by
-// GOMAXPROCS (on a single-core runner the tile engine pays its coordination
-// overhead with no cores to win back). The transferable number is the model
-// critical-path speedup SeqUnits/CritUnits, which is bit-identical across
-// hosts and worker counts (test-enforced) and is what the CI floor pins.
-func benchTile(r *report, quick bool) {
-	const p = 0.03 // near threshold for the phenomenological 3-D graph
-	syndromes := 192
-	reps := 4
-	if quick {
-		syndromes, reps = 48, 2
-	}
-	for _, d := range []int{11, 17, 21} {
-		g := lattice.New3D(d, d)
-		s := noise.NewSampler(g, p, uint64(9000+d), 1)
-		sets := make([][]int32, syndromes)
-		var trial noise.Trial
-		totalDefects := 0
-		for i := range sets {
-			s.Sample(&trial)
-			sets[i] = append([]int32(nil), trial.Defects...)
-			totalDefects += len(sets[i])
-		}
-
-		seq := core.NewDecoder(g, core.Options{LeanStats: true})
-		td := core.NewTileDecoder(g, core.Options{LeanStats: true}, core.TileConfig{})
-		warm := len(sets) / 4
-		for i := 0; i < warm; i++ {
-			seq.Decode(sets[i])
-			td.Decode(sets[i])
-		}
-
-		// Diff Totals around the timed region so warm-up decodes do not
-		// leak into the model accounting.
-		pre := td.Totals()
-		var seqSecs, tileSecs float64
-		for rep := 0; rep < reps; rep++ {
-			t0 := time.Now()
-			for _, df := range sets {
-				seq.Decode(df)
-			}
-			seqSecs += time.Since(t0).Seconds()
-			t0 = time.Now()
-			for _, df := range sets {
-				td.Decode(df)
-			}
-			tileSecs += time.Since(t0).Seconds()
-		}
-		tot := td.Totals()
-		seqUnits := tot.SeqUnits - pre.SeqUnits
-		critUnits := tot.CritUnits - pre.CritUnits
-		nDecodes := float64(syndromes * reps)
-
-		pt := tilePoint{
-			Distance:      d,
-			P:             p,
-			TileSize:      core.DefaultTileSize,
-			Tiles:         tot.Tiles,
-			Workers:       runtime.GOMAXPROCS(0),
-			Syndromes:     syndromes,
-			MeanDefects:   float64(totalDefects) / float64(syndromes),
-			SeqNSPerOp:    seqSecs * 1e9 / nDecodes,
-			TileNSPerOp:   tileSecs * 1e9 / nDecodes,
-			SeqUnits:      seqUnits,
-			CritUnits:     critUnits,
-			TilesTouched:  float64(tot.TilesTouched-pre.TilesTouched) / nDecodes,
-			BoundaryMerge: float64(tot.BoundaryMerges-pre.BoundaryMerges) / nDecodes,
-		}
-		pt.WallSpeedup = pt.SeqNSPerOp / pt.TileNSPerOp
-		if critUnits > 0 {
-			pt.ModelSpeedup = float64(seqUnits) / float64(critUnits)
-		}
-		r.Tile.Points = append(r.Tile.Points, pt)
-
-		fmt.Printf("\n== tile heavy-window micro: d=%d p=%g, %d tiles, %d syndromes (mean %.1f defects) ==\n",
-			d, p, pt.Tiles, syndromes, pt.MeanDefects)
-		fmt.Printf("sequential: %8.0f ns/decode; tile: %8.0f ns/decode (wall %.2fx at GOMAXPROCS=%d)\n",
-			pt.SeqNSPerOp, pt.TileNSPerOp, pt.WallSpeedup, pt.Workers)
-		fmt.Printf("model critical path: %d seq units / %d crit units = %.2fx; %.1f tiles touched, %.1f boundary merges per decode\n",
-			seqUnits, critUnits, pt.ModelSpeedup, pt.TilesTouched, pt.BoundaryMerge)
-	}
 }
 
 // benchStream measures the streaming layer at the paper's design point.

@@ -481,9 +481,11 @@ func (d *Decoder) growClusters() {
 		// which edges reach 2 does not depend on sweep order), but the union
 		// sequence decides which spanning tree the peeler walks. Fixing the
 		// sequence to ascending edge index makes the whole decode a pure
-		// function of the per-round support — the contract that lets the
-		// tile-parallel engine (tile.go) reproduce this decoder bit for bit
-		// from concurrently discovered merges.
+		// function of the per-round support. That is the reference every
+		// bit-identity check compares against: the sparse shortcut's and
+		// lane classifier's closed forms (a boundary single's tree edge is
+		// its first boundary edge by index), the residual peel, and the
+		// stream.Baseline and fleet identity suites.
 		slices.Sort(d.merged)
 		for _, e := range d.merged {
 			ed := &d.G.Edges[e]

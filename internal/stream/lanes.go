@@ -26,10 +26,10 @@ import (
 //     the shape key, because classification is horizon-independent and
 //     each lane commits against its own decoder's Commit;
 //   - windows containing an erased round, decoders with the weight-0 skip
-//     disabled, windows past core.MaxShortcutDefects, and windows at or
-//     past a tile-punt threshold route straight to the scalar path without
-//     touching the planes (counted laneIneligible) — erasure flags and
-//     punt routing are per-stream state the planes cannot carry;
+//     disabled, and windows past core.MaxShortcutDefects route straight
+//     to the scalar path without touching the planes (counted
+//     laneIneligible) — erasure flags are per-stream state the planes
+//     cannot carry;
 //   - robust (deadline/backpressure) decoders never defer in the first
 //     place (SetDeferDecode rejects them), so degraded windows cannot
 //     reach a lane group.
@@ -123,12 +123,10 @@ func (b *LaneBatcher) decodeGroup(sh *laneShape, n int) {
 		nd, anyErased := d.windowSummary()
 		sh.counts[lane] = nd
 		switch {
-		case anyErased || d.disableW0Skip,
-			nd > core.MaxShortcutDefects,
-			d.tdec != nil && nd >= d.tileMin:
-			// Per-stream state the planes cannot carry (erasure flags,
-			// punt routing, the W0-skip test hook): the unchanged scalar
-			// window decode, outside the group.
+		case anyErased || d.disableW0Skip, nd > core.MaxShortcutDefects:
+			// Per-stream state the planes cannot carry (erasure flags, the
+			// W0-skip test hook) or a window too heavy to shortcut: the
+			// unchanged scalar window decode, outside the group.
 			d.decodeWindow(false)
 			sh.lanes[lane] = nil
 			scalar++

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"afs/internal/core"
 	"afs/internal/faults"
 	"afs/internal/noise"
 )
@@ -151,8 +150,8 @@ func randLayer(rng *rand.Rand, per int, p float64) []int32 {
 // TestLaneBatcherMatchesScalarTwins is the decoder-level property test: for
 // every group size 1..64, a set of lane-batched decoders fed random rounds
 // must commit exactly what scalar twins commit on the identical rounds —
-// including erased rounds, a W0-skip-disabled lane, a tile-punting lane,
-// and dense rounds past the sparse-shortcut defect cap.
+// including erased rounds, a W0-skip-disabled lane, and dense rounds past
+// the sparse-shortcut defect cap.
 func TestLaneBatcherMatchesScalarTwins(t *testing.T) {
 	const d, w = 4, 4
 	per := d * (d - 1)
@@ -167,15 +166,6 @@ func TestLaneBatcherMatchesScalarTwins(t *testing.T) {
 				// the planes, must route scalar inside the group.
 				pairs[i].lane.disableW0Skip = true
 				pairs[i].scalar.disableW0Skip = true
-			}
-			if i == 2 {
-				// One lane that punts heavy windows to the tile engine.
-				if err := pairs[i].lane.EnableTilePunt(core.TileConfig{}, 3); err != nil {
-					t.Fatal(err)
-				}
-				if err := pairs[i].scalar.EnableTilePunt(core.TileConfig{}, 3); err != nil {
-					t.Fatal(err)
-				}
 			}
 			decs[i] = pairs[i].lane
 		}

@@ -98,7 +98,8 @@ func (d *Decoder) Snapshot() Snapshot {
 // snapshotted one went on to receive reproduces its corrections and its
 // fault ledger bit for bit. Any malformed snapshot — shape mismatch, too
 // many layers, an out-of-range ancilla index, a non-finite or negative
-// penalty — is rejected with an error before any decoder state changes.
+// penalty or queue clock — is rejected with an error before any decoder
+// state changes.
 func (d *Decoder) Restore(s Snapshot) error {
 	if s.Distance != d.Distance || s.Window != d.Window || s.Commit != d.Commit {
 		return fmt.Errorf("stream: snapshot shape d=%d W=%d C=%d does not match decoder d=%d W=%d C=%d",
@@ -117,8 +118,15 @@ func (d *Decoder) Restore(s Snapshot) error {
 	// hand-patched back together) can carry a non-finite or negative
 	// penalty; accepting one would poison every subsequent deadline
 	// decision. Same guard the fleet wire protocol applies on decode.
-	if math.IsNaN(s.PenaltyNS) || math.IsInf(s.PenaltyNS, 0) || s.PenaltyNS < 0 {
+	if !finiteNonNeg(s.PenaltyNS) {
 		return fmt.Errorf("stream: snapshot penalty %v not a finite non-negative duration", s.PenaltyNS)
+	}
+	// The queue clocks get the same guard: a NaN clock makes the lag NaN,
+	// so the queue never sheds and no deadline ever fires; a negative one
+	// makes the lag huge, so the queue sheds every round until it catches up.
+	if !finiteNonNeg(s.Queue.NowNS) || !finiteNonNeg(s.Queue.FreeNS) {
+		return fmt.Errorf("stream: snapshot queue clocks now=%v free=%v not finite non-negative times",
+			s.Queue.NowNS, s.Queue.FreeNS)
 	}
 	per := int32(d.per)
 	for t, layer := range s.Layers {
@@ -160,3 +168,7 @@ func (d *Decoder) Restore(s Snapshot) error {
 	d.rep.BacklogRecovers = 0
 	return nil
 }
+
+// finiteNonNeg reports whether x is a usable model-time value: not NaN,
+// not infinite, not negative.
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"afs/internal/backlog"
 	"afs/internal/faults"
 	"afs/internal/noise"
 )
@@ -239,6 +240,10 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 		{Distance: 5, Window: 5, Commit: 2, PenaltyNS: math.NaN()},                               // NaN penalty
 		{Distance: 5, Window: 5, Commit: 2, PenaltyNS: math.Inf(1)},                              // Inf penalty
 		{Distance: 5, Window: 5, Commit: 2, PenaltyNS: -1},                                       // negative penalty
+		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{NowNS: math.NaN()}},        // NaN queue clock
+		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{NowNS: -1}},                // negative queue clock
+		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{FreeNS: math.Inf(1)}},      // Inf free time
+		{Distance: 5, Window: 5, Commit: 2, Queue: backlog.QueueState{FreeNS: -1}},               // negative free time
 	}
 	for i, s := range bad {
 		if err := dec.Restore(s); err == nil {

@@ -118,15 +118,6 @@ type Decoder struct {
 	w0CostNS     float64 // Model.WindowCost of an empty decode, precomputed by SetRobust
 	rep          faults.Report
 
-	// Tile punt (EnableTilePunt): sliding windows whose defect count
-	// reaches tileMin are decoded by the tile-parallel Union-Find engine
-	// instead of the sequential horizon decode — the heavy-tail windows
-	// that drive worst-case decode latency. tdec is rebuilt alongside dec
-	// when SetRobust toggles the profile options.
-	tdec    *core.TileDecoder
-	tileCfg core.TileConfig
-	tileMin int
-
 	// disableW0Skip forces weight-0 windows down the full DecodeHorizon
 	// path; it exists only so tests can prove the skip is bit-identical.
 	disableW0Skip bool
@@ -341,40 +332,7 @@ func (d *Decoder) SetRobust(cfg Robust) error {
 		// path and cost ~25% throughput.
 		opts := core.Options{LeanStats: true, ClusterStats: d.robustOn, SparseShortcut: true}
 		d.dec = core.NewDecoder(d.g, opts)
-		if d.tdec != nil {
-			// Keep the punt engine's profile options in lockstep so the
-			// deadline model sees per-cluster stats from either path.
-			d.tdec = core.NewTileDecoder(d.g, opts, d.tileCfg)
-		}
 	}
-	return nil
-}
-
-// EnableTilePunt routes sliding windows with at least minDefects detection
-// events — the heavy near-threshold windows that drive worst-case decode
-// latency — through the tile-parallel Union-Find engine (core.TileDecoder)
-// instead of the sequential horizon decode; minDefects <= 0 selects
-// core.DefaultTileMinDefects, and cfg's zero values select the engine
-// defaults. The punt decision is a pure function of the window's defect
-// count and the tile decode is bit-identical across worker counts, so
-// fixed-seed streams remain exactly reproducible. Committed corrections
-// are decision-identical to the unpunted decoder's (the horizon-filtered
-// correction agrees with a full decode below the horizon). Like SetRobust
-// it must be called on an empty decoder; a zero-Workers config uses
-// GOMAXPROCS. Passing minDefects < 0 with an all-zero cfg keeps the
-// defaults too; disable by never calling it (the punt has no off switch —
-// construct a fresh Decoder instead).
-func (d *Decoder) EnableTilePunt(cfg core.TileConfig, minDefects int) error {
-	if d.ringLen != 0 {
-		return fmt.Errorf("stream: EnableTilePunt on a decoder with %d buffered layers", d.ringLen)
-	}
-	if minDefects <= 0 {
-		minDefects = core.DefaultTileMinDefects
-	}
-	d.tileCfg = cfg
-	d.tileMin = minDefects
-	opts := core.Options{LeanStats: true, ClusterStats: d.robustOn}
-	d.tdec = core.NewTileDecoder(d.g, opts, cfg)
 	return nil
 }
 
@@ -706,34 +664,18 @@ func (d *Decoder) decodeCollected(final bool, layers, commit int) {
 	var g *lattice.Graph
 	var dec *core.Decoder
 	var corr []int32
-	var stats *core.DecodeStats
 	if !w0 {
-		switch {
-		case final:
+		if final {
 			// A single remaining layer has no temporal structure and is
 			// decoded as a 2-D problem; finalDecoder handles both cases.
 			g, dec = d.finalDecoder(layers)
-			corr = dec.DecodeHorizon(d.defects, int32(commit))
-			stats = &dec.Stats
-		case d.tdec != nil && len(d.defects) >= d.tileMin:
-			// Heavy-window punt: grow the window's clusters tile-parallel.
-			// The full correction is a valid DecodeHorizon result for any
-			// horizon (the commit loop below keeps only rounds < commit),
-			// and the punt predicate is a pure function of the defect
-			// count, so the stream stays bit-identical across worker
-			// counts.
-			g = d.g
-			corr = d.tdec.Decode(d.defects)
-			stats = d.tdec.Stats()
-		default:
+		} else {
 			g, dec = d.g, d.dec
-			// Only edges with Round < commit are kept, so the decoder may
-			// skip defect groups that provably cannot reach the commit
-			// region — the horizon is where a sliding window saves most of
-			// its decode work.
-			corr = dec.DecodeHorizon(d.defects, int32(commit))
-			stats = &dec.Stats
 		}
+		// Only edges with Round < commit are kept, so the decoder may skip
+		// defect groups that provably cannot reach the commit region — the
+		// horizon is where a sliding window saves most of its decode work.
+		corr = dec.DecodeHorizon(d.defects, int32(commit))
 	}
 
 	// winTS is the window's model-time anchor (its first buffered layer's
@@ -747,7 +689,7 @@ func (d *Decoder) decodeCollected(final bool, layers, commit int) {
 		if w0 {
 			cost = d.w0CostNS + d.penaltyNS
 		} else {
-			cost = d.robust.Model.WindowCost(stats) + d.penaltyNS
+			cost = d.robust.Model.WindowCost(&dec.Stats) + d.penaltyNS
 		}
 		d.penaltyNS = 0
 		d.rep.Windows++
