@@ -97,14 +97,14 @@ type shardSession struct {
 	streams map[uint32]*shardStream
 	werr    error // sticky write error, surfaced at the next message boundary
 
-	// lane is the session's cross-stream lane batcher, built lazily on the
-	// first open that asks for lane batching. Streams opened with LaneBatch
-	// defer their window decodes (stream.SetDeferDecode); flushPendingLanes
-	// resolves the deferred windows in 64-lane bit-plane groups at three
-	// points: when a round arrives for a stream that is already pending
-	// (its window must resolve before the next ingest), at the session idle
-	// boundary (liveness: corrections must not wait for more traffic), and
-	// at the head of a fleet flush. laneIDs/laneDecs are reused scratch.
+	// lane is the session's cross-stream lane batcher. Streams opened
+	// without robust settings defer their window decodes
+	// (stream.SetDeferDecode); flushPendingLanes resolves the deferred
+	// windows in 64-lane bit-plane groups at three points: when a round
+	// arrives for a stream that is already pending (its window must resolve
+	// before the next ingest), at the session idle boundary (liveness:
+	// corrections must not wait for more traffic), and at the head of a
+	// fleet flush. laneIDs/laneDecs are reused scratch.
 	lane     *stream.LaneBatcher
 	laneIDs  []uint32
 	laneDecs []*stream.Decoder
@@ -123,6 +123,7 @@ func session(conn net.Conn, cfg ShardConfig) error {
 		br:      bufio.NewReaderSize(conn, 1<<16),
 		bw:      bufio.NewWriterSize(conn, 1<<16),
 		streams: map[uint32]*shardStream{},
+		lane:    stream.NewLaneBatcher(),
 	}
 	for {
 		// Everything queued for the router goes out before the session
@@ -186,7 +187,8 @@ func (s *shardSession) handleOpen(env envelope) error {
 	if err != nil {
 		return s.refuse(id, err.Error())
 	}
-	if err := dec.SetRobust(stream.Robust{DeadlineNS: op.DeadlineNS, QueueCap: op.QueueCap}); err != nil {
+	robust := stream.Robust{DeadlineNS: op.DeadlineNS, QueueCap: op.QueueCap}
+	if err := dec.SetRobust(robust); err != nil {
 		return s.refuse(id, err.Error())
 	}
 	if len(op.Snapshot) > 0 {
@@ -198,12 +200,9 @@ func (s *shardSession) handleOpen(env envelope) error {
 			return s.refuse(id, err.Error())
 		}
 	}
-	if op.LaneBatch {
+	if !robust.Enabled() {
 		if err := dec.SetDeferDecode(true); err != nil {
 			return s.refuse(id, err.Error())
-		}
-		if s.lane == nil {
-			s.lane = stream.NewLaneBatcher()
 		}
 	}
 	st := &shardStream{
@@ -279,9 +278,6 @@ func (s *shardSession) handleRound(env envelope) error {
 // but grouping never changes any stream's corrections, only the cross-stream
 // interleaving on the wire.
 func (s *shardSession) flushPendingLanes() {
-	if s.lane == nil {
-		return
-	}
 	s.laneIDs = s.laneIDs[:0]
 	for id, st := range s.streams {
 		if st.dec.Pending() {

@@ -15,9 +15,12 @@ import (
 // worker pool — the workload shape of the paper's Conjoined Decoder
 // Architecture, where one decoding subsystem serves many logical qubits
 // continuously. Ingestion is round-batched: each batch feeds the same
-// number of rounds to every stream, and workers claim whole streams off a
+// number of rounds to every stream, and workers claim streams off a
 // shared counter (work stealing, as in the Monte-Carlo engine), so a
-// stream whose window decodes slowly never stalls the others.
+// stream whose window decodes slowly never stalls the others. A non-robust
+// engine claims chunks of up to 64 streams and decodes the windows that
+// fill in a round as one cross-stream lane group (LaneBatcher); a robust
+// engine claims single streams and decodes each window as it fills.
 //
 // Determinism: a stream's decoder, its fault channel, and its per-stream
 // state advance only under the worker that claimed it for the batch, and
@@ -41,15 +44,24 @@ type Engine struct {
 	next    atomic.Int64
 	closed  bool
 
-	// Lane batching (cfg.LaneBatch, non-robust engines only): workers claim
-	// fixed chunks of up to 64 consecutive streams instead of single
-	// streams, deliver each round chunk-wide, and resolve the deferred
-	// windows through their per-worker LaneBatcher. Corrections stay
-	// bit-identical to per-stream decoding — chunk boundaries and worker
-	// count affect grouping, never results.
-	lane     bool
+	// Lane batching (every non-robust engine): workers claim fixed chunks
+	// of up to 64 consecutive streams instead of single streams, deliver
+	// each round chunk-wide, and resolve the deferred windows through their
+	// per-worker LaneBatcher. Corrections stay bit-identical to per-stream
+	// decoding — chunk boundaries and worker count affect grouping, never
+	// results. Robust engines decode each window at fill instead: their
+	// deadline accounting assumes it, and degraded windows must never
+	// enter a lane group.
 	chunk    int
 	batchers []*LaneBatcher
+
+	// batch holds the rounds of the PushRound/PushRounds call being
+	// dispatched; pushFeed, built once at NewEngine, reads it, so a
+	// dispatched push allocates no feed closure. one backs PushRound's
+	// single-round batch.
+	batch    [][][]int32
+	one      [1][][]int32
+	pushFeed func(stream, round int) []int32
 }
 
 // EngineConfig configures a multi-stream engine.
@@ -80,13 +92,6 @@ type EngineConfig struct {
 	// stream index as tid — so a fixed-seed fleet exports the identical
 	// trace for any worker count.
 	Trace *obs.Trace
-	// LaneBatch batches ready-to-decode windows from up to 64 streams into
-	// bit-plane lane groups (LaneBatcher) instead of decoding each stream's
-	// window as it fills. Corrections are bit-identical to the per-stream
-	// path for every worker count and fleet size; only throughput changes.
-	// Ignored (off) when Robust is enabled — deadline accounting assumes
-	// decode-at-fill, and degraded windows must never enter a lane group.
-	LaneBatch bool
 }
 
 // engineJob is one round batch (or a flush) broadcast to every worker.
@@ -113,9 +118,10 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		decs:    make([]*Decoder, cfg.Streams),
 		errs:    make([]error, cfg.Streams),
 		totals:  make([]uint64, cfg.Streams),
-		robust:  cfg.Robust.enabled(),
+		robust:  cfg.Robust.Enabled(),
 		workers: workers,
 	}
+	e.pushFeed = func(stream, round int) []int32 { return e.batch[round][stream] }
 	if cfg.Sink == nil {
 		e.retain = make([][]Correction, cfg.Streams)
 	}
@@ -153,8 +159,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			e.chans[i] = faults.NewChannel(per, c)
 		}
 	}
-	if cfg.LaneBatch && !e.robust {
-		e.lane = true
+	if !e.robust {
 		for _, dec := range e.decs {
 			// Cannot fail: the engine is non-robust by the guard above.
 			if err := dec.SetDeferDecode(true); err != nil {
@@ -204,7 +209,7 @@ func (e *Engine) deliverRound(i int, events []int32) error {
 func (e *Engine) worker(w int, ch chan engineJob) {
 	defer e.done.Done()
 	for job := range ch {
-		if e.lane && !job.flush {
+		if !e.robust && !job.flush {
 			e.laneRounds(e.batchers[w], job)
 			e.wg.Done()
 			continue
@@ -347,35 +352,10 @@ func (e *Engine) PushRound(events [][]int32) error {
 	if len(events) != len(e.decs) {
 		return fmt.Errorf("stream: PushRound got %d event lists for %d streams", len(events), len(e.decs))
 	}
-	// Without robust degradation all streams ingest in lockstep, so stream
-	// 0's fill level is the fleet's: decide once whether this round
-	// completes a window. A degraded (deadline-overrun) commit finalizes
-	// fewer layers and desyncs fill levels, so robust engines scan.
-	willDecode := false
-	if e.robust {
-		for _, dec := range e.decs {
-			if dec.Buffered()+1 >= dec.Window {
-				willDecode = true
-				break
-			}
-		}
-	} else {
-		willDecode = e.decs[0].Buffered()+1 >= e.decs[0].Window
-	}
-	if !willDecode || (e.workers == 1 && !e.lane) {
-		for i := range e.decs {
-			if e.errs[i] != nil {
-				continue
-			}
-			if err := e.deliverRound(i, events[i]); err != nil {
-				e.errs[i] = fmt.Errorf("stream %d: %w", i, err)
-			}
-		}
-		return errors.Join(e.errs...)
-	}
-	return e.dispatch(engineJob{rounds: 1, feed: func(stream, _ int) []int32 {
-		return events[stream]
-	}})
+	e.one[0] = events
+	err := e.push(e.one[:])
+	e.one[0] = nil
+	return err
 }
 
 // PushRounds feeds a batch of rounds to the whole fleet in one call:
@@ -396,13 +376,20 @@ func (e *Engine) PushRounds(rounds [][][]int32) error {
 			return fmt.Errorf("stream: PushRounds round %d has %d event lists for %d streams", r, len(rounds[r]), len(e.decs))
 		}
 	}
-	k := len(rounds)
-	if k == 0 {
+	if len(rounds) == 0 {
 		return nil
 	}
-	// Same fill-level reasoning as PushRound, over the whole batch: in
-	// lockstep mode stream 0's level is the fleet's; robust (degradable)
-	// engines scan because degraded commits desync fill levels.
+	return e.push(rounds)
+}
+
+// push ingests a shape-checked, non-empty batch of rounds for PushRound
+// and PushRounds.
+func (e *Engine) push(rounds [][][]int32) error {
+	k := len(rounds)
+	// Without robust degradation all streams ingest in lockstep, so stream
+	// 0's fill level is the fleet's: decide once whether the batch
+	// completes a window. A degraded (deadline-overrun) commit finalizes
+	// fewer layers and desyncs fill levels, so robust engines scan.
 	willDecode := false
 	if e.robust {
 		for _, dec := range e.decs {
@@ -414,7 +401,10 @@ func (e *Engine) PushRounds(rounds [][][]int32) error {
 	} else {
 		willDecode = e.decs[0].Buffered()+k >= e.decs[0].Window
 	}
-	if !willDecode || (e.workers == 1 && !e.lane) {
+	// A single-worker robust engine decodes at fill in the caller's
+	// goroutine; lane engines always dispatch, because their windows
+	// resolve in the workers' lane groups.
+	if !willDecode || (e.workers == 1 && e.robust) {
 		for i := range e.decs {
 			if e.errs[i] != nil {
 				continue
@@ -428,9 +418,10 @@ func (e *Engine) PushRounds(rounds [][][]int32) error {
 		}
 		return errors.Join(e.errs...)
 	}
-	return e.dispatch(engineJob{rounds: k, feed: func(stream, round int) []int32 {
-		return rounds[round][stream]
-	}})
+	e.batch = rounds
+	err := e.dispatch(engineJob{rounds: k, feed: e.pushFeed})
+	e.batch = nil
+	return err
 }
 
 // Flush ends every stream (decoding remainders as closed windows) and

@@ -242,3 +242,71 @@ func BenchmarkStreamEngine(b *testing.B) {
 		})
 	}
 }
+
+// TestEnginePushZeroAllocs: pushes that complete a window fan out to the
+// worker pool, and must do so without touching the heap — PushRound and
+// PushRounds dispatch through the one feed built at NewEngine. Commit 1
+// makes every round past the first fill complete a window, so every
+// measured push dispatches, on the lane path and the robust path alike.
+func TestEnginePushZeroAllocs(t *testing.T) {
+	const streams, d = 64, 5
+	pool := make([][][]int32, 64)
+	for r := range pool {
+		pool[r] = make([][]int32, streams)
+	}
+	for i := 0; i < streams; i++ {
+		s := noise.NewRoundSampler(d, 1e-3, 17, uint64(i)+1)
+		for r := range pool {
+			pool[r][i] = append([]int32(nil), s.SampleRound()...)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		robust Robust
+	}{
+		{"lane", Robust{}},
+		{"robust", Robust{DeadlineNS: 1e6, QueueCap: 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := NewEngine(EngineConfig{
+				Streams: streams, Distance: d, Window: d, Commit: 1, Workers: 2,
+				Robust: tc.robust,
+				Sink:   func(int, Correction) {},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			r := 0
+			push := func() {
+				dec := eng.Decoder(0)
+				if dec.Buffered()+1 < dec.Window {
+					t.Fatal("measured round does not complete a window")
+				}
+				if err := eng.PushRound(pool[r%len(pool)]); err != nil {
+					t.Fatal(err)
+				}
+				r++
+			}
+			for ; r < 4*len(pool); r++ { // warm to steady state
+				if err := eng.PushRound(pool[r%len(pool)]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if avg := testing.AllocsPerRun(200, push); avg != 0 {
+				t.Fatalf("window-completing PushRound allocates %.2f objects/op, want 0", avg)
+			}
+			const k = 4
+			batch := func() {
+				lo := r % len(pool) / k * k
+				if err := eng.PushRounds(pool[lo : lo+k]); err != nil {
+					t.Fatal(err)
+				}
+				r += k
+			}
+			if avg := testing.AllocsPerRun(200, batch); avg != 0 {
+				t.Fatalf("PushRounds batch allocates %.2f objects/op, want 0", avg)
+			}
+		})
+	}
+}

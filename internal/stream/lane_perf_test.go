@@ -9,18 +9,22 @@ import (
 )
 
 // TestPerfSmokeLaneEngine is the CI perf-smoke gate for cross-stream lane
-// batching: at the paper's design point (d=11, p=1e-3) with 256 streams the
-// lane-batched engine must sustain at least 0.9x the rounds/s of a scalar
-// engine measured in the same run on the identical pregenerated feed.
+// batching: at the paper's design point (d=11, p=1e-3) with 256 streams a
+// single-worker engine fed one PushRound per round — which resolves every
+// window through its lane batcher — must sustain at least 0.9x the
+// rounds/s of 256 per-stream decoders pushed serially, round by round,
+// measured in the same run on the identical pregenerated rounds.
 //
 // The floor is a no-regression gate, not a speedup claim. An interleaved
-// same-run measurement at this shape (24 alternating pairs, one PushRound
-// per round) puts lane/scalar at a median 1.31x, quartiles 1.23-1.41x
-// (EXPERIMENTS.md), but this single best-of-4 comparison reads anywhere
-// from ~0.96x to ~1.2x run to run. What the gate protects is the invariant
-// that turning LaneBatch on never costs throughput while the determinism
-// suites hold corrections bit-identical. The same-run baseline cancels
-// host speed, and 0.9x leaves headroom for CI jitter. Enabled by
+// same-run measurement at this shape with a two-worker pool (24 alternating
+// pairs, one PushRound per round) put lane/scalar at a median 1.31x,
+// quartiles 1.23-1.41x (EXPERIMENTS.md); this one-worker, best-of-4
+// comparison reads ~1.15-1.3x and wobbles run to run.
+// What the gate protects is the invariant that lane batching never costs
+// throughput against decoding each stream on its own, while the identity
+// suites hold corrections bit-identical. One worker on both sides keeps
+// pool parallelism out of the ratio; the same-run baseline cancels host
+// speed, and 0.9x leaves headroom for CI jitter. Enabled by
 // AFS_PERF_SMOKE=1.
 func TestPerfSmokeLaneEngine(t *testing.T) {
 	if os.Getenv("AFS_PERF_SMOKE") == "" {
@@ -35,50 +39,77 @@ func TestPerfSmokeLaneEngine(t *testing.T) {
 		poolRounds   = 1024
 		floorSpeedup = 0.9
 	)
-	// Pregenerate the feed so the sampler is out of both timed loops and the
-	// two engines see byte-identical rounds.
-	pool := make([][][]int32, streams)
-	for i := range pool {
+	// Pregenerate the rounds, round-major, so the sampler is out of both
+	// timed loops and the two sides see byte-identical rounds.
+	pool := make([][][]int32, poolRounds)
+	for r := range pool {
+		pool[r] = make([][]int32, streams)
+	}
+	for i := 0; i < streams; i++ {
 		s := noise.NewRoundSampler(d, p, 4242, uint64(i)+1)
-		pool[i] = make([][]int32, poolRounds)
-		for r := range pool[i] {
-			pool[i][r] = append([]int32(nil), s.SampleRound()...)
+		for r := range pool {
+			pool[r][i] = append([]int32(nil), s.SampleRound()...)
 		}
 	}
-	run := func(lane bool) float64 {
-		eng, err := NewEngine(EngineConfig{
-			Streams: streams, Distance: d, LaneBatch: lane,
-			Sink: func(int, Correction) {},
-		})
+
+	decs := make([]*Decoder, streams)
+	for i := range decs {
+		dec, err := New(d, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer eng.Close()
-		base := 0
-		feed := func(i, rr int) []int32 { return pool[i][(base+rr)%poolRounds] }
-		if err := eng.RunRounds(4*d, feed); err != nil { // warm scratch
-			t.Fatal(err)
-		}
-		base += 4 * d
-		best := 0.0
-		for rep := 0; rep < reps; rep++ {
-			start := time.Now()
-			if err := eng.RunRounds(segRounds, feed); err != nil {
+		dec.SetSink(func(Correction) {})
+		decs[i] = dec
+	}
+	eng, err := NewEngine(EngineConfig{
+		Streams: streams, Distance: d, Workers: 1,
+		Sink: func(int, Correction) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	scalar := func(r int) {
+		for i, dec := range decs {
+			if err := dec.PushLayer(pool[r%poolRounds][i]); err != nil {
 				t.Fatal(err)
 			}
-			if rps := float64(streams*segRounds) / time.Since(start).Seconds(); rps > best {
-				best = rps
-			}
-			base += segRounds
 		}
-		return best
 	}
-	scalar := run(false)
-	lane := run(true)
-	speedup := lane / scalar
-	t.Logf("d=%d p=%g L=%d: scalar %.0f rounds/s, lane %.0f rounds/s = %.2fx",
-		d, p, streams, scalar, lane, speedup)
+	lane := func(r int) {
+		if err := eng.PushRound(pool[r%poolRounds]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both sides walk the same round sequence; segments alternate which
+	// side runs first, and each side keeps its best segment.
+	var best [2]float64
+	base := 0
+	for _, push := range []func(int){scalar, lane} { // warm scratch
+		for r := 0; r < 4*d; r++ {
+			push(base + r)
+		}
+	}
+	base += 4 * d
+	for rep := 0; rep < reps; rep++ {
+		for k := 0; k < 2; k++ {
+			side := (rep + k) % 2
+			push := []func(int){scalar, lane}[side]
+			start := time.Now()
+			for r := 0; r < segRounds; r++ {
+				push(base + r)
+			}
+			if rps := float64(streams*segRounds) / time.Since(start).Seconds(); rps > best[side] {
+				best[side] = rps
+			}
+		}
+		base += segRounds
+	}
+
+	speedup := best[1] / best[0]
+	t.Logf("d=%d p=%g L=%d: per-stream %.0f rounds/s, lane engine %.0f rounds/s = %.2fx",
+		d, p, streams, best[0], best[1], speedup)
 	if speedup < floorSpeedup {
-		t.Fatalf("lane-batched engine %.3fx of same-run scalar, below pinned floor %.2fx", speedup, floorSpeedup)
+		t.Fatalf("lane-batched engine %.3fx of same-run per-stream decoding, below pinned floor %.2fx", speedup, floorSpeedup)
 	}
 }

@@ -9,16 +9,21 @@ import (
 	"afs/internal/noise"
 )
 
-// runLaneEngine mirrors runEngine with the lane batcher enabled (and an
-// optional chaos config) so engine-level tests can diff the two paths on
-// identical seeded feeds.
-func runLaneEngine(t *testing.T, streams, workers, d, w, c, rounds int, lane bool, chaos *faults.Config) [][]Correction {
+// laneFeedSampler is the seeded per-stream noise source both sides of the
+// engine identity tests draw from.
+func laneFeedSampler(d, stream int) *noise.RoundSampler {
+	return noise.NewRoundSampler(d, 0.01, 42, uint64(stream)*0x9e37+1)
+}
+
+// runLaneEngine runs a non-robust engine — every window resolved through
+// the workers' lane batchers — with an optional chaos config, and returns
+// each stream's committed corrections.
+func runLaneEngine(t *testing.T, streams, workers, d, w, c, rounds int, chaos *faults.Config) [][]Correction {
 	t.Helper()
 	out := make([][]Correction, streams)
 	eng, err := NewEngine(EngineConfig{
 		Streams: streams, Distance: d, Window: w, Commit: c, Workers: workers,
-		LaneBatch: lane,
-		Chaos:     chaos,
+		Chaos: chaos,
 		Sink: func(stream int, corr Correction) {
 			out[stream] = append(out[stream], corr)
 		},
@@ -27,9 +32,12 @@ func runLaneEngine(t *testing.T, streams, workers, d, w, c, rounds int, lane boo
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	if !eng.Decoder(0).deferDecode {
+		t.Fatal("non-robust engine does not defer windows to its lane batchers")
+	}
 	samplers := make([]*noise.RoundSampler, streams)
 	for i := range samplers {
-		samplers[i] = noise.NewRoundSampler(d, 0.01, 42, uint64(i)*0x9e37+1)
+		samplers[i] = laneFeedSampler(d, i)
 	}
 	if err := eng.RunRounds(rounds, func(stream, _ int) []int32 {
 		return samplers[stream].SampleRound()
@@ -42,17 +50,57 @@ func runLaneEngine(t *testing.T, streams, workers, d, w, c, rounds int, lane boo
 	return out
 }
 
-// TestLaneEngineIdentity is the tentpole acceptance criterion at the engine
-// level: the lane-batched engine must commit bit-identical corrections to
-// the scalar engine for every worker count and fleet size — full 64-lane
-// groups, partial groups, and single-lane remainders alike.
+// runScalarStreams is the reference for runLaneEngine: one decoder per
+// stream that never defers, driven directly on the same seeded rounds. With
+// chaos, each stream's rounds cross its own faults.Channel seeded
+// faults.StreamSeed, as the engine sets its links up.
+func runScalarStreams(t *testing.T, streams, d, w, c, rounds int, chaos *faults.Config) [][]Correction {
+	t.Helper()
+	out := make([][]Correction, streams)
+	for i := range out {
+		dec, err := New(d, w, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec.SetSink(func(corr Correction) { out[i] = append(out[i], corr) })
+		var link *faults.Channel
+		if chaos != nil {
+			cfg := *chaos
+			cfg.Seed = faults.StreamSeed(chaos.Seed, i)
+			link = faults.NewChannel(d*(d-1), cfg)
+		}
+		s := laneFeedSampler(d, i)
+		for r := 0; r < rounds; r++ {
+			events := s.SampleRound()
+			if link != nil {
+				delivered, erased, pen := link.Transfer(events)
+				dec.AddPenaltyNS(pen)
+				if erased {
+					dec.PushErased()
+					continue
+				}
+				events = delivered
+			}
+			if err := dec.PushLayer(events); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dec.Flush()
+	}
+	return out
+}
+
+// TestLaneEngineIdentity is the engine-level acceptance criterion: the
+// lane-batched engine must commit bit-identical corrections to per-stream
+// decoding for every worker count and fleet size — full 64-lane groups,
+// partial groups, and single-lane remainders alike.
 func TestLaneEngineIdentity(t *testing.T) {
 	for _, d := range []int{3, 5} {
 		const rounds = 120
 		for _, streams := range []int{1, 2, 5, 64, 65, 130} {
-			want := runLaneEngine(t, streams, 1, d, d, 0, rounds, false, nil)
+			want := runScalarStreams(t, streams, d, d, 0, rounds, nil)
 			for _, workers := range []int{1, 2, 3} {
-				got := runLaneEngine(t, streams, workers, d, d, 0, rounds, true, nil)
+				got := runLaneEngine(t, streams, workers, d, d, 0, rounds, nil)
 				for i := range want {
 					if !slices.Equal(got[i], want[i]) {
 						t.Fatalf("d=%d L=%d workers=%d stream %d: lane corrections diverge from scalar (%d vs %d)",
@@ -69,8 +117,8 @@ func TestLaneEngineIdentity(t *testing.T) {
 // scalar decoding exactly (the horizon filter runs per lane).
 func TestLaneEngineIdentityNonDefaultCommit(t *testing.T) {
 	const streams, d, w, c, rounds = 33, 4, 6, 3, 150
-	want := runLaneEngine(t, streams, 1, d, w, c, rounds, false, nil)
-	got := runLaneEngine(t, streams, 2, d, w, c, rounds, true, nil)
+	want := runScalarStreams(t, streams, d, w, c, rounds, nil)
+	got := runLaneEngine(t, streams, 2, d, w, c, rounds, nil)
 	for i := range want {
 		if !slices.Equal(got[i], want[i]) {
 			t.Fatalf("stream %d: lane corrections diverge under commit=%d", i, c)
@@ -84,9 +132,9 @@ func TestLaneEngineIdentityNonDefaultCommit(t *testing.T) {
 func TestLaneEngineIdentityUnderChaos(t *testing.T) {
 	chaos := &faults.Config{Seed: 7, DropRate: 0.05, DuplicateRate: 0.02, ReorderRate: 0.02, CorruptRate: 0.03}
 	const streams, d, rounds = 70, 3, 200
-	want := runLaneEngine(t, streams, 1, d, d, 0, rounds, false, chaos)
+	want := runScalarStreams(t, streams, d, d, 0, rounds, chaos)
 	for _, workers := range []int{1, 3} {
-		got := runLaneEngine(t, streams, workers, d, d, 0, rounds, true, chaos)
+		got := runLaneEngine(t, streams, workers, d, d, 0, rounds, chaos)
 		for i := range want {
 			if !slices.Equal(got[i], want[i]) {
 				t.Fatalf("workers=%d stream %d: lane corrections diverge under chaos", workers, i)
@@ -306,9 +354,9 @@ func TestDeferDecodeRobustMutualExclusion(t *testing.T) {
 	if err := dec2.SetRobust(Robust{DeadlineNS: 350, QueueCap: 8}); err != nil {
 		t.Fatal(err)
 	}
-	// The lane engine silently ignores LaneBatch under Robust.
+	// A robust engine decodes at fill: no stream defers, no lane batchers.
 	eng, err := NewEngine(EngineConfig{
-		Streams: 2, Distance: 4, LaneBatch: true,
+		Streams: 2, Distance: 4,
 		Robust: Robust{DeadlineNS: 350, QueueCap: 8},
 		Sink:   func(int, Correction) {},
 	})
@@ -316,7 +364,7 @@ func TestDeferDecodeRobustMutualExclusion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if eng.lane {
+	if eng.batchers != nil || eng.Decoder(0).deferDecode {
 		t.Fatal("robust engine enabled lane batching")
 	}
 }

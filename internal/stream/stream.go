@@ -228,7 +228,10 @@ type Robust struct {
 	QueueCap int
 }
 
-func (r Robust) enabled() bool { return r.DeadlineNS > 0 || r.QueueCap > 0 }
+// Enabled reports whether r turns on deadline enforcement or backpressure.
+// Robust decoders decode each window as it fills and never defer it to a
+// LaneBatcher.
+func (r Robust) Enabled() bool { return r.DeadlineNS > 0 || r.QueueCap > 0 }
 
 func (r Robust) arrivalNS() float64 {
 	if r.ArrivalNS <= 0 {
@@ -310,12 +313,12 @@ func (d *Decoder) SetRobust(cfg Robust) error {
 	if cfg.DeadlineNS < 0 || cfg.QueueCap < 0 {
 		return fmt.Errorf("stream: negative deadline or queue cap")
 	}
-	if d.deferDecode && cfg.enabled() {
+	if d.deferDecode && cfg.Enabled() {
 		return fmt.Errorf("stream: robust mode and deferred decoding are mutually exclusive")
 	}
 	wasOn := d.robustOn
 	d.robust = cfg
-	d.robustOn = cfg.enabled()
+	d.robustOn = cfg.Enabled()
 	d.queue = backlog.BoundedQueue{ArrivalNS: cfg.arrivalNS(), Cap: cfg.QueueCap}
 	d.invArrivalNS = 1 / cfg.arrivalNS()
 	d.penaltyNS = 0

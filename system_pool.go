@@ -185,8 +185,11 @@ func clampWorkers(requested, units int) int {
 // deployed shape of the paper's decoding subsystem, where System runs
 // isolated logical cycles. Each stream is a sliding-window StreamDecoder
 // fed round by round from its own seeded noise source, and the fleet
-// decodes over a persistent worker pool. For a fixed Seed the committed
-// corrections are bit-identical regardless of Workers.
+// decodes over a persistent worker pool. Unless DeadlineNS or QueueCap
+// turn robust mode on, ready windows from up to 64 streams decode together
+// as bit-plane lane groups. For a fixed Seed the committed corrections are
+// bit-identical regardless of Workers, and identical to decoding each
+// stream on its own.
 type StreamEngine struct {
 	eng      *stream.Engine
 	samplers []*noise.RoundSampler
@@ -228,11 +231,6 @@ type StreamEngineConfig struct {
 	// QueueCap bounds each stream's decode backlog in rounds (0 disables):
 	// past it the oldest undecoded round is shed and recorded.
 	QueueCap int
-	// LaneBatch batches ready windows from up to 64 streams into bit-plane
-	// lane groups decoded word-parallel. Committed corrections stay
-	// bit-identical to per-stream decoding; ignored when DeadlineNS or
-	// QueueCap enable robust mode.
-	LaneBatch bool
 	// Trace, when non-nil, records every stream's model-time decode events
 	// (stream index as tid); export with Trace.WriteChrome. Deterministic:
 	// a fixed-seed fleet emits the identical trace for any worker count.
@@ -257,8 +255,7 @@ func NewStreamEngine(cfg StreamEngineConfig) (*StreamEngine, error) {
 			DeadlineNS: cfg.DeadlineNS,
 			QueueCap:   cfg.QueueCap,
 		},
-		LaneBatch: cfg.LaneBatch,
-		Trace:     cfg.Trace,
+		Trace: cfg.Trace,
 	})
 	if err != nil {
 		return nil, err

@@ -72,7 +72,7 @@ func TestStreamSteadyStatePushZeroAllocs(t *testing.T) {
 func TestLaneEngineSteadyStateZeroAllocs(t *testing.T) {
 	eng, err := afs.NewStreamEngine(afs.StreamEngineConfig{
 		Streams: 128, Distance: 11, P: 1e-3, Seed: 13,
-		Workers: 2, LaneBatch: true,
+		Workers:      2,
 		OnCorrection: func(int, afs.StreamCorrection) {},
 	})
 	if err != nil {
