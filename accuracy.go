@@ -128,14 +128,26 @@ func (c AccuracyConfig) factory() (montecarlo.Factory, error) {
 	}
 }
 
+// checkP rejects a physical error rate outside [0, 1). The negated range
+// test also rejects NaN, which fails every comparison.
+func checkP(p float64) error {
+	if !(p >= 0 && p < 1) {
+		return fmt.Errorf("afs: physical error rate %v outside [0,1)", p)
+	}
+	return nil
+}
+
 // MeasureLogicalErrorRate estimates the logical error rate per logical
 // cycle by Monte-Carlo simulation under the phenomenological noise model.
 func MeasureLogicalErrorRate(cfg AccuracyConfig) (AccuracyResult, error) {
 	if cfg.Distance < 2 {
 		return AccuracyResult{}, fmt.Errorf("afs: distance %d < 2", cfg.Distance)
 	}
-	if cfg.P < 0 || cfg.P >= 1 {
-		return AccuracyResult{}, fmt.Errorf("afs: physical error rate %v outside [0,1)", cfg.P)
+	if err := checkP(cfg.P); err != nil {
+		return AccuracyResult{}, err
+	}
+	if cfg.Rounds < 0 {
+		return AccuracyResult{}, fmt.Errorf("afs: rounds %d < 0", cfg.Rounds)
 	}
 	factory, err := cfg.factory()
 	if err != nil {

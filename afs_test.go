@@ -165,6 +165,42 @@ func TestMeasureLatencyValidation(t *testing.T) {
 	}
 }
 
+// Invalid measurement inputs must come back as errors, not as a silent
+// zero result (NaN fails both range comparisons, so a P < 0 || P >= 1
+// check lets it through) or a panic in a worker goroutine that kills the
+// process.
+func TestMeasureRejectsInvalidInputs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"accuracy p=NaN", func() error {
+			_, err := MeasureLogicalErrorRate(AccuracyConfig{Distance: 3, P: math.NaN(), Trials: 10})
+			return err
+		}},
+		{"accuracy rounds=-1", func() error {
+			_, err := MeasureLogicalErrorRate(AccuracyConfig{Distance: 3, P: 0.01, Rounds: -1, Trials: 10})
+			return err
+		}},
+		{"latency p=-0.1", func() error {
+			_, err := MeasureLatency(LatencyConfig{Distance: 3, P: -0.1, Trials: 10})
+			return err
+		}},
+		{"latency p=1.5", func() error {
+			_, err := MeasureLatency(LatencyConfig{Distance: 3, P: 1.5, Trials: 10})
+			return err
+		}},
+		{"latency p=NaN", func() error {
+			_, err := MeasureLatency(LatencyConfig{Distance: 3, P: math.NaN(), Trials: 10})
+			return err
+		}},
+	} {
+		if tc.run() == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
 func TestMemoryFacade(t *testing.T) {
 	q := MemoryPerQubit(11)
 	if kb := q.TotalKB(); kb < 8.8 || kb > 9.1 {

@@ -20,7 +20,7 @@ import (
 //   - W1 (weight 1): NorthParity carries the lane's side bit (parity 1 iff
 //     the lone defect's strictly nearest boundary is north); TieAny flags
 //     lanes whose defect sits on a SideTie vertex, which must punt exactly
-//     as Triage.Classify does.
+//     as Triage.ClassifySyndrome does.
 //   - Matched: the lane's distance-1 graph on its defects is a perfect
 //     matching — every defect has EXACTLY one defect at L1 distance 1.
 //     Parity 0 for any weight >= 2 (see below). Matched ∩ W2 is the
@@ -46,8 +46,8 @@ import (
 // Soundness of the Matched rule. "Exactly one" makes the distance-1 graph
 // on the lane's defects a perfect matching: my unique neighbor's unique
 // neighbor is me (on this lattice L1 distance 1 between real vertices
-// always means exactly one shared edge). This is precisely
-// Triage.classifyMulti's conflict-free case with no leftover singles —
+// always means exactly one shared edge). This is precisely the
+// conflict-free, single-free case of Triage.PeelResidual's decomposition —
 // every defect pairs with its unique adjacent partner (radius 0, parity 0
 // per pair: the shared edge beats any alternative, and any two minimal
 // corrections differ by interior cycles), and the cross-group isolation
@@ -55,9 +55,9 @@ import (
 // cross-pair distance of 1 would raise someone's degree above one. Total
 // parity is therefore 0 for every decoder the triage layer is sound for,
 // regardless of defect count — Matched lanes with more than
-// maxTriageDefects defects are resolved here even though the scalar walk
-// would have punted them to the full decoder (same failure outcome, less
-// work; the lane-classification tests check both facts).
+// maxTriageDefects defects are resolved here even though PeelResidual
+// would have passed them to the full decoder whole (same failure outcome,
+// less work; the lane-classification tests check both facts).
 //
 // Soundness of the Chain4 rule. Degrees are over the lane's distance-1
 // defect graph. With no isolated defects, no degree >= 3, exactly two
@@ -77,10 +77,10 @@ import (
 // is automatic exactly as for Matched — distance 1 between components
 // would change a degree. Total parity is 0 regardless of defect count,
 // so (as with Matched) lanes beyond maxTriageDefects resolve here even
-// though the scalar walk would punt them.
+// though PeelResidual would pass them to the decoder whole.
 //
 // Soundness of the SinglesOK rule. Every isolated defect in a qualifying
-// lane is certified as one of classifyMulti's closed-form groups, with the
+// lane is certified as one of PeelResidual's component classes, with the
 // sparse isolation invariant L1(i,j) > R(i)+R(j)+1 checked per certificate:
 //
 //   - Boundary single at B <= 2 on a strict side: influence radius B,
@@ -88,34 +88,32 @@ import (
 //     L1 > B+1, established by an empty non-isolated distance-2 ring (and,
 //     for B == 2, distance-3 ring); against other isolated defects the
 //     exact pairwise check below applies. A single must also have NO
-//     isolated defect at distance 2 — that would be a duo candidate, and
-//     the scalar decomposition would never classify it a lone single.
+//     isolated defect at distance 2 — that would be a duo candidate (or,
+//     at B == 1, an isolation violation), never a lone single.
 //
 //   - Interior duo: two isolated defects at L1 distance exactly 2, each
 //     the other's UNIQUE distance-2 isolated partner in that lane (the
-//     ring-2 hit counter saturates at two), both at B >= 2 — exactly
-//     classifyMulti's D == 2 duo rule (merge at round 2 beats any boundary
-//     resolution since 2 < 2*min(B); radius 1, parity 0). Against pair
-//     members a duo member needs L1 > 2, again from the empty non-isolated
-//     distance-2 ring. A distance-2 isolated pair that fails the duo
-//     certificate (a second candidate, or a B < 2 member) marks both
-//     members bad — the scalar walk punts those whole, so the lane must
-//     too.
+//     ring-2 hit counter saturates at two), both at B >= 2 — the D == 2
+//     case of PeelResidual's interior-duo rule (merge at round 2 beats any
+//     boundary resolution since 2 < 2*min(B); radius 1, parity 0). Against
+//     pair members a duo member needs L1 > 2, again from the empty
+//     non-isolated distance-2 ring. A distance-2 isolated pair that fails
+//     the duo certificate (a second candidate, or a B < 2 member) marks
+//     both members bad, which routes the lane to the scalar path.
 //
 //   - Pairwise across isolated defects, the conservative bound R = B is
 //     used: any two isolated defects at L1 <= B(i)+B(j)+1 (other than a
 //     certified duo pair) mark both bad. For singles this is the exact
 //     scalar invariant; for duo members (true radius 1) it punts slightly
-//     more than the scalar walk accepts, which is sound — bad defects
-//     route the lane to the scalar path.
+//     more than PeelResidual accepts, which is sound — bad defects route
+//     the lane to the scalar path.
 //
 // Pair-vs-pair isolation (L1 > 1) is automatic from degree-1 adjacency.
 // Singles deeper than B == 2 are excluded: their independence radius
 // exceeds what the distance-3 ring can certify, so those lanes punt to
 // the scalar path (which re-derives the full invariant from coordinates).
-// Every certificate here is strictly contained in what the scalar
-// decomposition accepts, so resolved lanes agree with it bit for bit
-// (test-enforced).
+// Every certificate here is contained in what PeelResidual certifies
+// whole, so resolved lanes agree with it bit for bit (test-enforced).
 type LaneTriage struct {
 	g    *lattice.Graph
 	bd   *lut.Boundary

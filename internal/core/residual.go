@@ -5,16 +5,19 @@ import "afs/internal/lut"
 // Partial-residual decomposition (the triage layer's last line before the
 // full decoder).
 //
-// classifyMulti answers all-or-nothing: one ambiguous defect punts the whole
-// syndrome, and at the design point that tail — ~2% of trials at ~3.7 µs per
-// full decode — is the batched pipeline's Amdahl floor. PeelResidual splits
-// the punt instead: it re-derives the pair/single decomposition with
-// per-component *demotion* in place of whole-syndrome rejection, applies the
-// certified components' closed-form cut parities directly, and returns only
-// the ambiguous remainder for the decoder. The full decode population
-// shrinks (syndromes whose every component certifies resolve here outright)
-// and each surviving decode gets smaller (the decoder sees the residual
-// defect set, not the whole syndrome) — both factors of the floor.
+// The closed-form triage rules stop at weight 2, and at the design point
+// the full decodes of heavier syndromes — at ~3.7 µs each — are the batched
+// pipeline's Amdahl floor. Almost every heavier syndrome at deployment
+// error rates is a scatter of independent single-fault signatures:
+// adjacent defect pairs from interior faults, duos from two faults sharing
+// a vertex, boundary singles from boundary faults. PeelResidual decomposes
+// the syndrome into those components with per-component *demotion* in
+// place of whole-syndrome rejection, applies the certified components'
+// closed-form cut parities directly, and returns only the ambiguous
+// remainder for the decoder. The full decode population shrinks
+// (syndromes whose every component certifies resolve here outright) and
+// each surviving decode gets smaller (the decoder sees the residual defect
+// set, not the whole syndrome) — both factors of the floor.
 //
 // # The certificate
 //
@@ -30,8 +33,11 @@ import "afs/internal/lut"
 //
 //   - adjacent pair / matchable quad (distance-1 component of size 2, or
 //     size 4 with a perfect matching): merges in growth round one having
-//     absorbed nothing beyond its defects. R = 0, cut parity 0 — exactly
-//     classifyMulti's pairing classes.
+//     absorbed nothing beyond its defects. R = 0, cut parity 0. Any two
+//     minimal corrections pair the defects through interior edges and
+//     differ by interior cycles. A star K_{1,3} has no perfect matching and
+//     demotes, which is necessary: its cheapest resolutions mix interior
+//     and boundary chains at equal cost.
 //
 //   - interior duo (two leftover singles at distance D with
 //     2 <= D < 2*min(B(u), B(v)), each the other's unique such partner):
@@ -44,12 +50,10 @@ import "afs/internal/lut"
 //     parity 0. Minimal-
 //     weight decoders concur: D < 2*min <= B(u)+B(v) makes the interior
 //     chain strictly cheaper than any boundary-touching resolution, so the
-//     u-v homology class is unique. (classifyMulti ships only the D == 2
-//     case of this rule; the decomposition framework makes the general
-//     band cheap to certify.)
+//     u-v homology class is unique.
 //
 //   - boundary single (strict side): resolves to its nearest boundary.
-//     R = B, cut parity = the north-side bit — classifyMulti's singles rule.
+//     R = B, cut parity = the north-side bit (the W1 rule).
 //
 //   - residual (everything demoted: oversize or unmatchable distance-1
 //     components, side ties, singles with zero or multiple duo partners):
@@ -70,9 +74,9 @@ import "afs/internal/lut"
 // the residual — and the whole syndrome's cut parity is the XOR of the
 // certified closed forms with the residual decode's parity.
 //
-// Finally, a residual of weight <= 2 is retried through Classify: its
-// closed forms (W1 single at R = B, W2 interior merge at R < B,
-// W2 independent singles at R = B) all stay within the radius-B bound the
+// Finally, a residual of weight <= 2 is retried through ClassifySyndrome:
+// its closed forms (W1 single at R = B, W2 interior merge at R < B, W2
+// independent singles at R = B) all stay within the radius-B bound the
 // fixpoint already validated for the residual members, so folding their
 // parity in is sound and the trial resolves with no decoder work at all.
 //
@@ -82,7 +86,28 @@ import "afs/internal/lut"
 // peeled-plus-residual parity compared against an undecomposed full decode
 // under every decoder in the repo including MWPM.
 
-// Peel states (multiScratch.st): how each defect's component left the
+// maxTriageDefects bounds the decomposition's scratch space; heavier
+// syndromes (far above the design-point mean) go to the full decoder whole.
+const maxTriageDefects = 32
+
+// peelScratch is the fixed-size working set of PeelResidual: unpacked
+// defect coordinates, per-defect influence radii and boundary distances,
+// the grouping and peel state, the cached pairwise L1 distances (both
+// triangles), and the sparse list of distance-1 pairs. A defect has at
+// most 6 lattice neighbours, which bounds the pair list.
+type peelScratch struct {
+	r, c, t [maxTriageDefects]int32
+	rad     [maxTriageDefects]int32
+	bnd     [maxTriageDefects]int32 // boundary distance B
+	grp     [maxTriageDefects]int8  // group id (smallest member index)
+	deg     [maxTriageDefects]int8  // distance-1 adjacency degree
+	cnt     [maxTriageDefects]int8  // members per group id
+	st      [maxTriageDefects]uint8 // peel state
+	d       [maxTriageDefects][maxTriageDefects]int32
+	adj1    [3 * maxTriageDefects][2]int8 // pairs at distance 1
+}
+
+// Peel states (peelScratch.st): how each defect's component left the
 // decomposition. plSingle doubles as the initial state — a defect not yet
 // claimed by a pairing class is a candidate single until demoted.
 const (
@@ -108,7 +133,7 @@ func (t *Triage) PeelResidual(defects []int32) (parity bool, residual []int32, p
 	if k < 3 || k > maxTriageDefects {
 		return false, defects, 0
 	}
-	s := &t.ms
+	s := &t.ps
 	r, c, tt := s.r[:k], s.c[:k], s.t[:k]
 	rad, grp, deg, cnt := s.rad[:k], s.grp[:k], s.deg[:k], s.cnt[:k]
 	bnd, st := s.bnd[:k], s.st[:k]
@@ -145,9 +170,9 @@ func (t *Triage) PeelResidual(defects []int32) (parity bool, residual []int32, p
 		}
 	}
 	// Distance-1 components. Without adjacency conflicts the pairs are
-	// disjoint dominoes (classifyMulti's fast case); with conflicts, label
-	// propagation finds the components and each certifies or demotes on its
-	// own — the per-component form of mergeComponents' accept-or-punt.
+	// disjoint dominoes; with conflicts, label propagation finds the
+	// components and each certifies (size 2, or a matchable size 4) or
+	// demotes on its own.
 	if !conflict {
 		for a := 0; a < n1; a++ {
 			i, j := s.adj1[a][0], s.adj1[a][1]
@@ -312,7 +337,7 @@ func (t *Triage) PeelResidual(defects []int32) (parity bool, residual []int32, p
 	// rules' radii never exceed the B-per-member bound the fixpoint already
 	// validated for the residual, so their parity folds in soundly.
 	if n := len(t.res); n > 0 && n <= 2 {
-		if _, p2, ok := t.Classify(t.res); ok {
+		if _, p2, ok := t.ClassifySyndrome(t.res); ok {
 			if p2 {
 				parity = !parity
 			}
@@ -321,4 +346,22 @@ func (t *Triage) PeelResidual(defects []int32) (parity bool, residual []int32, p
 		}
 	}
 	return parity, t.res, peeled
+}
+
+// quadMatchable reports whether the 4-defect component with group id gid
+// admits a perfect matching in its distance-1 graph.
+func (t *Triage) quadMatchable(k, gid int) bool {
+	s := &t.ps
+	var m [4]int
+	n := 0
+	for i := 0; i < k; i++ {
+		if int(s.grp[i]) == gid {
+			m[n] = i
+			n++
+		}
+	}
+	d := &s.d
+	return (d[m[0]][m[1]] == 1 && d[m[2]][m[3]] == 1) ||
+		(d[m[0]][m[2]] == 1 && d[m[1]][m[3]] == 1) ||
+		(d[m[0]][m[3]] == 1 && d[m[1]][m[2]] == 1)
 }

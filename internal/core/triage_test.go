@@ -5,7 +5,6 @@
 package core_test
 
 import (
-	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -82,9 +81,9 @@ func triageGraphs() []*lattice.Graph {
 
 // TestTriageExhaustiveWeightLE2 runs triage on every weight-1 and weight-2
 // placement and requires that (a) a materialized triage correction is valid
-// (right syndrome) with cut parity matching Classify, and (b) every decoder
-// in the repo produces a correction in the same homology class — the
-// failure statistic triage substitutes for.
+// (right syndrome) with cut parity matching ClassifySyndrome, and (b) every
+// decoder in the repo produces a correction in the same homology class —
+// the failure statistic triage substitutes for.
 func TestTriageExhaustiveWeightLE2(t *testing.T) {
 	for _, g := range triageGraphs() {
 		tri := core.NewTriage(g)
@@ -92,9 +91,9 @@ func TestTriageExhaustiveWeightLE2(t *testing.T) {
 		classified, punted := 0, 0
 		check := func(defects []int32) {
 			corr, class, parity, ok := tri.Decode(defects)
-			cl2, par2, ok2 := tri.Classify(defects)
+			cl2, par2, ok2 := tri.ClassifySyndrome(defects)
 			if cl2 != class || par2 != parity || ok2 != ok {
-				t.Fatalf("%v: Classify/Decode disagree on %v", g, defects)
+				t.Fatalf("%v: ClassifySyndrome/Decode disagree on %v", g, defects)
 			}
 			if !ok {
 				punted++
@@ -109,7 +108,7 @@ func TestTriageExhaustiveWeightLE2(t *testing.T) {
 			}
 			checkSyndrome(t, g, corr, defects)
 			if cutParity(g, corr) != parity {
-				t.Fatalf("%v: triage corr parity != Classify parity on %v", g, defects)
+				t.Fatalf("%v: triage corr parity != ClassifySyndrome parity on %v", g, defects)
 			}
 			for _, dec := range decs {
 				got := dec.decode(defects)
@@ -141,86 +140,11 @@ func TestTriageExhaustiveWeightLE2(t *testing.T) {
 	}
 }
 
-// TestTriageMultiRandomSyndromes drives ClassifySyndrome — the weight >= 3
-// pair/single decomposition — with two generators: fault-sampled syndromes
-// (XOR of random edge sets, matching the structure the noise model
-// produces) and adversarial uniform-random vertex sets. Wherever the
-// decomposition claims a closed form, every decoder in the repo must land
-// in the same homology class.
-func TestTriageMultiRandomSyndromes(t *testing.T) {
-	for _, g := range triageGraphs() {
-		tri := core.NewTriage(g)
-		decs := decodersFor(g)
-		rng := rand.New(rand.NewPCG(7, uint64(g.V)))
-		classified := 0
-		check := func(defects []int32) {
-			class, parity, ok := tri.ClassifySyndrome(defects)
-			if len(defects) <= 2 {
-				c2, p2, ok2 := tri.Classify(defects)
-				if c2 != class || p2 != parity || ok2 != ok {
-					t.Fatalf("%v: ClassifySyndrome/Classify disagree on %v", g, defects)
-				}
-				return
-			}
-			if !ok {
-				return
-			}
-			if class != core.TriageMulti {
-				t.Fatalf("%v: weight-%d syndrome %v classified %v", g, len(defects), defects, class)
-			}
-			classified++
-			for _, dec := range decs {
-				got := dec.decode(defects)
-				checkSyndrome(t, g, got, defects)
-				if cutParity(g, got) != parity {
-					t.Fatalf("%v: %s parity %v != decomposition parity %v on %v (corr %v)",
-						g, dec.name, !parity, parity, defects, got)
-				}
-			}
-		}
-		flip := make(map[int32]bool)
-		for trial := 0; trial < 3000; trial++ {
-			// Fault-sampled generator.
-			clear(flip)
-			for f := 2 + rng.IntN(5); f > 0; f-- {
-				ed := &g.Edges[rng.IntN(len(g.Edges))]
-				for _, v := range [2]int32{ed.U, ed.V} {
-					if !g.IsBoundary(v) {
-						flip[v] = !flip[v]
-					}
-				}
-			}
-			defects := make([]int32, 0, 12)
-			for v, on := range flip {
-				if on {
-					defects = append(defects, v)
-				}
-			}
-			slices.Sort(defects)
-			check(defects)
-
-			// Adversarial generator: uniform distinct vertices.
-			clear(flip)
-			for len(flip) < 3+rng.IntN(6) {
-				flip[int32(rng.IntN(g.V))] = true
-			}
-			defects = defects[:0]
-			for v := range flip {
-				defects = append(defects, v)
-			}
-			slices.Sort(defects)
-			check(defects)
-		}
-		if classified == 0 {
-			t.Fatalf("%v: decomposition never applied", g)
-		}
-	}
-}
-
-// FuzzClassifySyndrome fuzzes the decomposition against the plain
+// FuzzClassifySyndrome fuzzes the closed forms against the plain
 // Union-Find decoder on the d=5 cubic graph: any syndrome the fuzzer
 // constructs where ClassifySyndrome claims a closed form must land in the
-// decoder's homology class.
+// decoder's homology class, and every syndrome of weight >= 3 must punt —
+// those belong to PeelResidual, whose own fuzz gate is FuzzPeelResidual.
 func FuzzClassifySyndrome(f *testing.F) {
 	f.Add([]byte{0, 1, 2})
 	f.Add([]byte{10, 40, 90, 91})
@@ -242,7 +166,10 @@ func FuzzClassifySyndrome(f *testing.F) {
 			}
 		}
 		slices.Sort(defects)
-		_, parity, ok := tri.ClassifySyndrome(defects)
+		class, parity, ok := tri.ClassifySyndrome(defects)
+		if len(defects) >= 3 && (ok || class != core.TriageFull) {
+			t.Fatalf("weight-%d syndrome %v classified %v (ok=%v), want a punt", len(defects), defects, class, ok)
+		}
 		if !ok {
 			return
 		}

@@ -10,15 +10,15 @@ import (
 )
 
 // This file retains the pre-engine execution strategy — per-point graph
-// construction, static per-worker trial striping, a join barrier between
-// sweep points — as a living reference implementation. cmd/afs-bench runs
-// it next to the work-stealing engine so every future change has a
-// like-for-like scheduling comparison, and tests use it as an independent
-// oracle for the engine's statistics.
+// construction and static per-worker trial striping — as a reference
+// implementation: it runs every trial through Sampler, Decode and
+// ApplyCorrection with no triage, batching or chunk seeding, which makes it
+// an independent oracle for the engine's statistics
+// (TestEngineAgreesWithLegacyStatistically).
 //
 // Note its per-worker seeding (PCG(Seed, worker+1)) makes results depend
 // on the worker count, which is exactly the defect the engine's per-chunk
-// seeding removes. Do not use these entry points for new measurements.
+// seeding removes. Do not use it for new measurements.
 
 // RunAccuracyStatic measures a point with the legacy static-striping
 // executor. Prefer RunAccuracy.
@@ -102,20 +102,4 @@ func RunAccuracyStatic(cfg AccuracyConfig) AccuracyResult {
 	}
 	res.CI = rateInterval(failures, trials, cfg.Seed)
 	return res
-}
-
-// SweepAccuracySequential runs the cross product point by point with a
-// join barrier after each point, exactly as the seed implementation did.
-// Prefer SweepAccuracy.
-func SweepAccuracySequential(base AccuracyConfig, distances []int, ps []float64) []AccuracyResult {
-	out := make([]AccuracyResult, 0, len(distances)*len(ps))
-	for _, d := range distances {
-		for _, p := range ps {
-			cfg := base
-			cfg.Distance = d
-			cfg.P = p
-			out = append(out, RunAccuracyStatic(cfg))
-		}
-	}
-	return out
 }

@@ -37,8 +37,7 @@ type chunkTally struct {
 	// count in full), and the defect-count histogram of the residuals
 	// actually decoded. Both kernels route every multi-defect (>= 3)
 	// syndrome through the peel: the bit-plane kernel on its gathered
-	// lanes, the scalar kernel fused into its triage loop (PeelResidual's
-	// certified set contains classifyMulti's, test-enforced).
+	// lanes, the scalar kernel fused into its triage loop.
 	peeled       uint64
 	peelResolved uint64
 	residual     uint64
@@ -89,7 +88,6 @@ type kernel struct {
 	tri     *core.Triage
 	cutEdge []bool // per edge: correction edge flips the logical cut
 	triage  bool
-	peel    bool // run PeelResidual on punted syndromes
 	b       noise.Batch
 
 	// failLog, when non-nil, records every trial's failure bit in order —
@@ -110,7 +108,6 @@ func newKernel(cfg AccuracyConfig, g *lattice.Graph) *kernel {
 	k.cutEdge = k.s.CutEdges()
 	if k.triage {
 		k.tri = core.NewTriage(g)
-		k.peel = !cfg.DisablePeel
 	}
 	return k
 }
@@ -150,16 +147,12 @@ func (k *kernel) run(n uint64) chunkTally {
 					}
 					continue
 				}
-				if k.peel && len(df) >= 3 {
-					// Multi-defect syndromes go straight to the partial-
-					// residual decomposition, exactly like the bit-plane
-					// gather path: PeelResidual's certified-whole set
-					// strictly contains classifyMulti's with identical
-					// parity (test-enforced containment), so one pass
-					// replaces the classify-then-peel double scan, peels
-					// certified components off whatever remains ambiguous,
-					// and hands the decoder only the residual (see
-					// core.Triage.PeelResidual).
+				if len(df) >= 3 {
+					// Multi-defect syndromes go to the partial-residual
+					// decomposition, exactly like the bit-plane gather
+					// path: it peels certified components off whatever
+					// remains ambiguous and hands the decoder only the
+					// residual (see core.Triage.PeelResidual).
 					df0 := len(df)
 					pp, res, comps := k.tri.PeelResidual(df)
 					t.peeled += uint64(comps)
@@ -185,13 +178,10 @@ func (k *kernel) run(n uint64) chunkTally {
 					}
 					df = res
 				} else if class, p, ok := k.tri.ClassifySyndrome(df); ok {
-					switch class {
-					case core.TriageW1:
+					if class == core.TriageW1 {
 						t.w1++
-					case core.TriageW2:
+					} else {
 						t.w2++
-					default:
-						t.multi++
 					}
 					fail := par != p
 					if fail {

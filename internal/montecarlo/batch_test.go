@@ -31,31 +31,45 @@ func runLogged(cfg AccuracyConfig, n, chunk uint64) []bool {
 	return k.failLog
 }
 
-// The tentpole's equivalence guarantee: at every (d, p) of the tier-1
-// sweep, the triaged pipeline produces bit-identical logical outcomes,
+// identityPoints is the (d, p) grid of the triaged-vs-full identity
+// suites: the tier-1 sweep plus (7, 0.005), a heavy-tail point where the
+// residual peel certifies and shrinks many syndromes.
+var identityPoints = []struct {
+	d int
+	p float64
+}{
+	{3, 0.001}, {3, 0.003}, {3, 0.01},
+	{5, 0.001}, {5, 0.003}, {5, 0.01},
+	{7, 0.001}, {7, 0.003}, {7, 0.01}, {7, 0.005},
+	{9, 0.001}, {9, 0.003}, {9, 0.01},
+	{11, 0.001}, {11, 0.003}, {11, 0.01},
+}
+
+// The triage layer's equivalence guarantee: at every identityPoints (d, p),
+// the triaged pipeline — closed forms, residual peel, and the decoder on
+// whatever residual is left — produces bit-identical logical outcomes,
 // trial for trial, to the untriaged full-decoder path under the same
-// seeds — for the plain Union-Find decoder, the sparse-shortcut variant,
+// seeds, for the plain Union-Find decoder, the sparse-shortcut variant,
 // and (at the smallest distances) the MWPM baseline.
 func TestTriagedBitIdenticalToFullPath(t *testing.T) {
 	const trials, chunk = 4096, 1024
-	for _, d := range []int{3, 5, 7, 9, 11} {
-		for _, p := range []float64{0.001, 0.003, 0.01} {
-			for name, factory := range map[string]Factory{
-				"uf":        ufFactory,
-				"uf-sparse": sparseUFFactory,
-			} {
-				cfg := AccuracyConfig{Distance: d, P: p, Seed: 42, New: factory}
-				triaged := runLogged(cfg, trials, chunk)
-				cfg.DisableTriage = true
-				full := runLogged(cfg, trials, chunk)
-				if len(triaged) != trials || len(full) != trials {
-					t.Fatalf("d=%d p=%g %s: logged %d/%d of %d trials", d, p, name, len(triaged), len(full), trials)
-				}
-				for i := range triaged {
-					if triaged[i] != full[i] {
-						t.Fatalf("d=%d p=%g %s: trial %d: triaged=%v full=%v",
-							d, p, name, i, triaged[i], full[i])
-					}
+	for _, pt := range identityPoints {
+		d, p := pt.d, pt.p
+		for name, factory := range map[string]Factory{
+			"uf":        ufFactory,
+			"uf-sparse": sparseUFFactory,
+		} {
+			cfg := AccuracyConfig{Distance: d, P: p, Seed: 42, New: factory}
+			triaged := runLogged(cfg, trials, chunk)
+			cfg.DisableTriage = true
+			full := runLogged(cfg, trials, chunk)
+			if len(triaged) != trials || len(full) != trials {
+				t.Fatalf("d=%d p=%g %s: logged %d/%d of %d trials", d, p, name, len(triaged), len(full), trials)
+			}
+			for i := range triaged {
+				if triaged[i] != full[i] {
+					t.Fatalf("d=%d p=%g %s: trial %d: triaged=%v full=%v",
+						d, p, name, i, triaged[i], full[i])
 				}
 			}
 		}
@@ -129,6 +143,9 @@ func TestTriageTalliesPartitionTrials(t *testing.T) {
 	})
 	if res.FullDecodes != res.Trials || res.TriageW0+res.TriageW1+res.TriageW2+res.TriageMulti != 0 {
 		t.Fatalf("DisableTriage still triaged: %+v", res)
+	}
+	if res.PeeledComponents+res.PeelResolved+res.ResidualDecodes != 0 || res.ResidualDefects != [5]uint64{} {
+		t.Fatalf("DisableTriage still peeled: %+v", res)
 	}
 
 	// Under early stopping Trials < TrialsRequested — the case where a

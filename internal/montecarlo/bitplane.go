@@ -46,7 +46,6 @@ type bpKernel struct {
 	lt      *core.LaneTriage
 	cutEdge []bool
 	triage  bool
-	peel    bool // run PeelResidual on gathered lanes the scalar triage punts
 	pg      noise.PlaneGroup
 
 	// Per-lane gather scratch, reused across groups: defect lists for the
@@ -67,7 +66,6 @@ func newBPKernel(cfg AccuracyConfig, g *lattice.Graph) *bpKernel {
 		lt:     core.NewLaneTriage(g),
 		triage: !cfg.DisableTriage,
 	}
-	k.peel = k.triage && !cfg.DisablePeel
 	k.cutEdge = k.s.CutEdges()
 	return k
 }
@@ -139,14 +137,10 @@ func (k *bpKernel) run(n uint64) chunkTally {
 					df := k.lists[lane]
 					var fail bool
 					t.bpGathered++
-					if k.peel && len(df) >= 3 {
-						// Multi-defect lanes go straight to the partial-
-						// residual decomposition: its certified-whole set
-						// strictly contains classifyMulti's with identical
-						// parity (test-enforced containment), so one
-						// PeelResidual pass replaces the classify-then-peel
-						// double scan, peels certified components off
-						// whatever remains ambiguous, and hands the decoder
+					if len(df) >= 3 {
+						// Multi-defect lanes go to the partial-residual
+						// decomposition: it peels certified components off
+						// whatever remains ambiguous and hands the decoder
 						// only the residual (see core.Triage.PeelResidual).
 						pp, res, comps := k.tri.PeelResidual(df)
 						t.peeled += uint64(comps)
@@ -165,13 +159,10 @@ func (k *bpKernel) run(n uint64) chunkTally {
 							fail = k.fullDecode(res, par != pp)
 						}
 					} else if class, p, ok := k.tri.ClassifySyndrome(df); ok {
-						switch class {
-						case core.TriageW1:
+						if class == core.TriageW1 {
 							t.w1++
-						case core.TriageW2:
+						} else {
 							t.w2++
-						default:
-							t.multi++
 						}
 						fail = par != p
 					} else {

@@ -27,31 +27,30 @@ func runLoggedBP(cfg AccuracyConfig, n, chunk uint64) []bool {
 }
 
 // The bit-plane analogue of TestTriagedBitIdenticalToFullPath: at every
-// (d, p) of the tier-1 sweep, the lane fast paths (W0/W1/Paired plane
+// identityPoints (d, p), the lane fast paths (W0/W1/Paired plane
 // algebra, captured-pair W2, gathered scalar triage) must produce
 // bit-identical logical outcomes, trial for trial, to routing every lane
 // through the full decoder on the same sampled planes.
 func TestBitPlaneTriagedBitIdenticalToFullPath(t *testing.T) {
 	const trials, chunk = 4096, 1024
-	for _, d := range []int{3, 5, 7, 9, 11} {
-		for _, p := range []float64{0.001, 0.003, 0.01} {
-			for name, factory := range map[string]Factory{
-				"uf":        ufFactory,
-				"uf-sparse": sparseUFFactory,
-			} {
-				cfg := AccuracyConfig{Distance: d, P: p, Seed: 42, New: factory, BitPlane: true}
-				triaged := runLoggedBP(cfg, trials, chunk)
-				cfg.DisableTriage = true
-				full := runLoggedBP(cfg, trials, chunk)
-				if len(triaged) != trials || len(full) != trials {
-					t.Fatalf("d=%d p=%g %s: logged %d/%d of %d trials",
-						d, p, name, len(triaged), len(full), trials)
-				}
-				for i := range triaged {
-					if triaged[i] != full[i] {
-						t.Fatalf("d=%d p=%g %s: trial %d: triaged=%v full=%v",
-							d, p, name, i, triaged[i], full[i])
-					}
+	for _, pt := range identityPoints {
+		d, p := pt.d, pt.p
+		for name, factory := range map[string]Factory{
+			"uf":        ufFactory,
+			"uf-sparse": sparseUFFactory,
+		} {
+			cfg := AccuracyConfig{Distance: d, P: p, Seed: 42, New: factory, BitPlane: true}
+			triaged := runLoggedBP(cfg, trials, chunk)
+			cfg.DisableTriage = true
+			full := runLoggedBP(cfg, trials, chunk)
+			if len(triaged) != trials || len(full) != trials {
+				t.Fatalf("d=%d p=%g %s: logged %d/%d of %d trials",
+					d, p, name, len(triaged), len(full), trials)
+			}
+			for i := range triaged {
+				if triaged[i] != full[i] {
+					t.Fatalf("d=%d p=%g %s: trial %d: triaged=%v full=%v",
+						d, p, name, i, triaged[i], full[i])
 				}
 			}
 		}
@@ -230,14 +229,23 @@ func TestBitPlaneKernelZeroAllocSteadyState(t *testing.T) {
 // TestPerfSmokeBitPlaneKernel pins the bit-plane kernel's floors at the
 // paper's design point (d=11, p=1e-3) — the tentpole's speedup claim lives
 // at this point, so a regression that silently falls back to scalar speed
-// trips here. Three floors: raw throughput (set ~2x under dev-machine
+// trips here. Four floors: raw throughput (set ~2x under dev-machine
 // numbers, so only real regressions — not CI jitter — fail), the
 // machine-independent fast-lane fraction (dev machines measure ~0.96; a
 // broken Matched/Chain4/SinglesOK/duo class drops it far below the 0.90
-// floor), and the machine-independent residual-peel fraction — the share
-// of full-decoder visits that peeling resolved or shrank (dev machines
+// floor), the machine-independent residual-peel fraction — the share of
+// full-decoder visits that peeling resolved or shrank (dev machines
 // measure ~0.94; a broken PeelResidual certificate or kernel wiring drops
-// it far below 0.60). Enabled by AFS_PERF_SMOKE=1.
+// it far below 0.60) — and the same-run speedup over the batch kernel.
+//
+// The speedup floor records why both shot kernels exist. The facade runs
+// the batch kernel because its random stream is the one the repository
+// benchmark's replica reproduces draw for draw; bit-plane is the opt-in
+// fast kernel (AccuracyConfig.BitPlane), and it only earns its code while
+// it stays well ahead. The two kernels run interleaved segments on the
+// same chunk seeds, alternating which goes first, so machine drift
+// cancels in the ratio; dev machines measure ~1.75x against the 1.25x
+// floor. Enabled by AFS_PERF_SMOKE=1.
 func TestPerfSmokeBitPlaneKernel(t *testing.T) {
 	if os.Getenv("AFS_PERF_SMOKE") == "" {
 		t.Skip("set AFS_PERF_SMOKE=1 to run the pinned-floor perf smoke")
@@ -245,18 +253,41 @@ func TestPerfSmokeBitPlaneKernel(t *testing.T) {
 	const floorTPS = 1_500_000.0
 	const floorFastFrac = 0.90
 	const floorPeelFrac = 0.60
+	const floorSpeedup = 1.25
 	cfg := AccuracyConfig{Distance: 11, P: 1e-3, Seed: 1, New: sparseUFFactory, BitPlane: true}
 	k := newBPKernel(cfg, cfg.graph())
-	k.reseed(cfg.Seed, 0)
-	k.run(1 << 16) // warm
-	const trials = 1 << 21
-	start := time.Now()
-	tally := k.run(trials)
-	tps := float64(trials) / time.Since(start).Seconds()
+	batch := newKernel(cfg, cfg.graph())
+	for _, r := range []runner{k, batch} { // warm
+		r.reseed(cfg.Seed, 0)
+		r.run(1 << 16)
+	}
+	const segments, per = 8, 1 << 18
+	const trials = segments * per
+	var tally chunkTally
+	var secs [2]float64 // bit-plane, batch
+	for seg := 0; seg < segments; seg++ {
+		for i := 0; i < 2; i++ {
+			side := (seg + i) % 2
+			r := []runner{k, batch}[side]
+			r.reseed(cfg.Seed, uint64(seg+1))
+			start := time.Now()
+			got := r.run(per)
+			secs[side] += time.Since(start).Seconds()
+			if side == 0 {
+				tally.bpFast += got.bpFast
+				tally.bpGathered += got.bpGathered
+				tally.residual += got.residual
+				tally.peelResolved += got.peelResolved
+				tally.full += got.full
+			}
+		}
+	}
+	tps := float64(trials) / secs[0]
+	speedup := secs[1] / secs[0]
 	fastFrac := float64(tally.bpFast) / float64(trials)
 	peelFrac := float64(tally.residual+tally.peelResolved) / float64(tally.full+tally.peelResolved)
-	t.Logf("bit-plane kernel: %.2fM trials/s (fast-lane fraction %.4f, peel fraction %.4f)",
-		tps/1e6, fastFrac, peelFrac)
+	t.Logf("bit-plane kernel: %.2fM trials/s, batch kernel %.2fM trials/s same run = %.2fx (fast-lane fraction %.4f, peel fraction %.4f)",
+		tps/1e6, float64(trials)/secs[1]/1e6, speedup, fastFrac, peelFrac)
 	if tally.bpFast+tally.bpGathered != trials {
 		t.Fatalf("lane tallies %d+%d do not partition %d trials", tally.bpFast, tally.bpGathered, trials)
 	}
@@ -269,32 +300,28 @@ func TestPerfSmokeBitPlaneKernel(t *testing.T) {
 	if peelFrac < floorPeelFrac {
 		t.Fatalf("residual-peel fraction %.4f below pinned floor %.2f", peelFrac, floorPeelFrac)
 	}
+	if speedup < floorSpeedup {
+		t.Fatalf("bit-plane kernel %.3fx of the same-run batch kernel, below pinned floor %.2fx", speedup, floorSpeedup)
+	}
 }
 
 // BenchmarkBitPlaneKernel measures the bit-plane pipeline at the paper's
 // design point (d=11, p=0.001); ns/op is ns per trial. BENCH_6.json
 // records this against the scalar batch kernel's 515 ns/trial.
 func BenchmarkBitPlaneKernel(b *testing.B) {
-	benchBPKernel(b, false, false)
+	benchBPKernel(b, false)
 }
 
 // BenchmarkBitPlaneKernelUntriaged isolates the lane fast paths'
 // contribution.
 func BenchmarkBitPlaneKernelUntriaged(b *testing.B) {
-	benchBPKernel(b, true, false)
+	benchBPKernel(b, true)
 }
 
-// BenchmarkBitPlaneKernelNoPeel ablates only the partial-residual peel —
-// the same-run baseline the BENCH_7 comparison uses (it is the BENCH_6
-// kernel's routing: punted lanes decode whole).
-func BenchmarkBitPlaneKernelNoPeel(b *testing.B) {
-	benchBPKernel(b, false, true)
-}
-
-func benchBPKernel(b *testing.B, disableTriage, disablePeel bool) {
+func benchBPKernel(b *testing.B, disableTriage bool) {
 	cfg := AccuracyConfig{
 		Distance: 11, P: 0.001, Seed: 2, New: sparseUFFactory,
-		BitPlane: true, DisableTriage: disableTriage, DisablePeel: disablePeel,
+		BitPlane: true, DisableTriage: disableTriage,
 	}
 	k := newBPKernel(cfg, cfg.graph())
 	k.reseed(cfg.Seed, 0)

@@ -76,24 +76,16 @@ type AccuracyConfig struct {
 	BitPlane bool
 
 	// DisableTriage turns off the weight-class triage fast paths
-	// (core.Triage) and routes every trial through New's full decoder.
-	// Triage is provably failure-equivalent for every decoder in the repo
-	// (punting whenever a closed form could be ambiguous), so this exists
-	// for ablation benches and for custom Factory implementations whose
-	// decoders deliberately deviate from minimal-correction behavior.
+	// (core.Triage) and its partial-residual peel
+	// (core.Triage.PeelResidual), routing every trial through New's full
+	// decoder. Triage is failure-equivalent for every decoder in the repo
+	// (punting whenever a closed form could be ambiguous), and the peel for
+	// every group-additive one — a decoder that resolves an isolated defect
+	// group the same standalone as in context (the hierarchical router is
+	// the in-repo counterexample). This exists for ablation benches and for
+	// custom Factory implementations whose decoders deviate from
+	// minimal-correction behavior or are not group-additive.
 	DisableTriage bool
-
-	// DisablePeel turns off the partial-residual decomposition
-	// (core.Triage.PeelResidual) that strips certified components off
-	// syndromes the triage layer punts before the full decoder runs.
-	// Peeling is failure-equivalent for the Union-Find decoders the
-	// kernels use (the radius-bound certificate guarantees the peeled
-	// groups evolve independently), so this exists for ablation benches
-	// and for custom Factory decoders that are not group-additive — i.e.
-	// that may resolve an isolated defect group differently standalone
-	// than in context (the hierarchical router is the in-repo example).
-	// Implied by DisableTriage.
-	DisablePeel bool
 
 	// StopRelCI, when positive, enables adaptive early stopping: the point
 	// terminates once the Wilson 95% CI half-width divided by the observed

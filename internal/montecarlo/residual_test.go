@@ -1,6 +1,6 @@
-// Tests for the partial-residual peel wiring: failure-bit identity with
-// peeling ablated, tally coherence through the engine, and the DisablePeel
-// switch. The peel's soundness certificate itself is tested in
+// Tests for the partial-residual peel wiring: failure-bit identity of the
+// peeled trials against an unpeeled decode, and tally coherence through
+// the engine. The peel's soundness certificate itself is tested in
 // internal/core (residual_test.go); these tests pin the kernels' use of it.
 package montecarlo
 
@@ -8,10 +8,41 @@ import (
 	"testing"
 )
 
+// runLoggedPeel runs n trials through cfg's kernel exactly like runLogged
+// (or runLoggedBP under cfg.BitPlane) and also returns the peel tallies
+// summed over the chunks.
+func runLoggedPeel(cfg AccuracyConfig, n, chunk uint64) ([]bool, chunkTally) {
+	var sum chunkTally
+	add := func(ct chunkTally) {
+		sum.peeled += ct.peeled
+		sum.peelResolved += ct.peelResolved
+		sum.residual += ct.residual
+	}
+	if cfg.BitPlane {
+		k := newBPKernel(cfg, cfg.graph())
+		k.failLog = make([]bool, 0, n)
+		for c := uint64(0); c*chunk < n; c++ {
+			k.reseed(cfg.Seed, c)
+			add(k.run(min(chunk, n-c*chunk)))
+		}
+		return k.failLog, sum
+	}
+	k := newKernel(cfg, cfg.graph())
+	k.failLog = make([]bool, 0, n)
+	for c := uint64(0); c*chunk < n; c++ {
+		k.reseed(cfg.Seed, c)
+		add(k.run(min(chunk, n-c*chunk)))
+	}
+	return k.failLog, sum
+}
+
 // Peeling must not change any trial's logical outcome — it only moves work
-// from the full decoder to closed forms. Both kernels, peel on vs off,
-// trial for trial. (TestTriagedBitIdenticalToFullPath separately checks
-// the peeled pipeline against the fully untriaged path.)
+// from the full decoder to closed forms. Both kernels, at heavy-tail points
+// where the peel fires, trial for trial against the same trials decoded
+// unpeeled by the full decoder. The compared run's peel tallies must show
+// both peel-resolved and residual-decoded trials, so the identity covers
+// the peel's outcomes and not only the closed-form classes.
+// (TestTriagedBitIdenticalToFullPath sweeps the whole tier-1 grid.)
 func TestPeelBitIdenticalToUnpeeled(t *testing.T) {
 	const trials, chunk = 4096, 1024
 	for _, tc := range []struct {
@@ -22,13 +53,13 @@ func TestPeelBitIdenticalToUnpeeled(t *testing.T) {
 			cfg := AccuracyConfig{
 				Distance: tc.d, P: tc.p, Seed: 42, New: sparseUFFactory, BitPlane: bitPlane,
 			}
-			run := runLogged
-			if bitPlane {
-				run = runLoggedBP
+			peeled, tally := runLoggedPeel(cfg, trials, chunk)
+			if tally.peeled == 0 || tally.peelResolved == 0 || tally.residual == 0 {
+				t.Fatalf("d=%d p=%g bp=%v: peel did not fire: %d components, %d resolved, %d residual",
+					tc.d, tc.p, bitPlane, tally.peeled, tally.peelResolved, tally.residual)
 			}
-			peeled := run(cfg, trials, chunk)
-			cfg.DisablePeel = true
-			plain := run(cfg, trials, chunk)
+			cfg.DisableTriage = true
+			plain, _ := runLoggedPeel(cfg, trials, chunk)
 			if len(peeled) != trials || len(plain) != trials {
 				t.Fatalf("d=%d p=%g bp=%v: logged %d/%d of %d trials",
 					tc.d, tc.p, bitPlane, len(peeled), len(plain), trials)
@@ -83,29 +114,6 @@ func TestPeelTalliesCoherent(t *testing.T) {
 		resolved, residual := res.PeelFractions()
 		if resolved <= 0 || residual <= 0 || resolved+residual > 1 {
 			t.Fatalf("bp=%v: implausible peel fractions resolved=%g residual=%g", bitPlane, resolved, residual)
-		}
-	}
-}
-
-// DisablePeel (and DisableTriage, which implies it) must zero every peel
-// tally.
-func TestDisablePeelZeroesTallies(t *testing.T) {
-	base := AccuracyConfig{
-		Distance: 7, P: 0.01, Trials: 20000, Seed: 5, Workers: 2, New: sparseUFFactory,
-	}
-	for _, cfg := range []AccuracyConfig{
-		func() AccuracyConfig { c := base; c.DisablePeel = true; return c }(),
-		func() AccuracyConfig { c := base; c.DisableTriage = true; return c }(),
-		func() AccuracyConfig { c := base; c.BitPlane = true; c.DisablePeel = true; return c }(),
-	} {
-		res := RunAccuracy(cfg)
-		if res.PeeledComponents != 0 || res.PeelResolved != 0 || res.ResidualDecodes != 0 {
-			t.Fatalf("peel tallies nonzero with peeling disabled (%+v): %+v", cfg, res)
-		}
-		for i, n := range res.ResidualDefects {
-			if n != 0 {
-				t.Fatalf("residual histogram bucket %d nonzero with peeling disabled", i)
-			}
 		}
 	}
 }

@@ -13,8 +13,9 @@ import (
 // overhead (chaos channel + deadline accounting vs a plain decoder on
 // identical rounds), interleaved in sub-millisecond segments so machine
 // noise cancels in the ratio. It decodes ~40M rounds and asserts nothing —
-// run it on demand with AFS_AB_PROBE=1 when investigating a BENCH
-// regression; cmd/afs-bench records the tracked number.
+// run it on demand with AFS_AB_PROBE=1 when investigating a regression.
+// The gated same-run A/B of the decoder's instrumentation cost is
+// TestPerfSmokeObsOverhead.
 func TestABProbe(t *testing.T) {
 	if os.Getenv("AFS_AB_PROBE") == "" {
 		t.Skip("measurement probe; set AFS_AB_PROBE=1 to run (~10s, no assertions)")

@@ -89,9 +89,9 @@ func init() {
 }
 
 // SetObsEnabled installs (true, the default) or removes (false) the metrics
-// sink captured by decoders created afterwards. It exists so the perf
-// harness can A/B the instrumentation cost on otherwise identical decoders;
-// production callers never need it.
+// sink captured by decoders created afterwards. It exists so tests can A/B
+// the instrumentation cost on otherwise identical decoders
+// (TestPerfSmokeObsOverhead); production callers never need it.
 func SetObsEnabled(on bool) {
 	if on {
 		obsSink.Store(registeredObs)

@@ -61,6 +61,9 @@ func MeasureLatency(cfg LatencyConfig) (LatencyResult, error) {
 	if cfg.Distance < 2 {
 		return LatencyResult{}, fmt.Errorf("afs: distance %d < 2", cfg.Distance)
 	}
+	if err := checkP(cfg.P); err != nil {
+		return LatencyResult{}, err
+	}
 	if cfg.Trials <= 0 {
 		return LatencyResult{}, fmt.Errorf("afs: trials must be positive")
 	}

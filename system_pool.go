@@ -53,8 +53,8 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.Distance < 2 {
 		return nil, fmt.Errorf("afs: distance %d < 2", cfg.Distance)
 	}
-	if cfg.P < 0 || cfg.P >= 1 {
-		return nil, fmt.Errorf("afs: physical error rate %v outside [0,1)", cfg.P)
+	if err := checkP(cfg.P); err != nil {
+		return nil, err
 	}
 	s := &System{workers: clampWorkers(cfg.Workers, cfg.LogicalQubits)}
 	for i := 0; i < cfg.LogicalQubits; i++ {
@@ -240,8 +240,8 @@ type StreamEngineConfig struct {
 // NewStreamEngine builds the fleet and starts its worker pool. Callers
 // should Close the engine when done.
 func NewStreamEngine(cfg StreamEngineConfig) (*StreamEngine, error) {
-	if cfg.P < 0 || cfg.P >= 1 {
-		return nil, fmt.Errorf("afs: physical error rate %v outside [0,1)", cfg.P)
+	if err := checkP(cfg.P); err != nil {
+		return nil, err
 	}
 	eng, err := stream.NewEngine(stream.EngineConfig{
 		Streams:  cfg.Streams,
