@@ -152,6 +152,7 @@ type benchOut struct {
 		WireTxBytes    uint64  `json:"wire_tx_bytes"`
 		WireRxBytes    uint64  `json:"wire_rx_bytes"`
 		WireBytesRound float64 `json:"wire_tx_bytes_per_stream_round"`
+		WireRxRound    float64 `json:"wire_rx_bytes_per_stream_round"`
 		RawBitsRound   int64   `json:"raw_syndrome_bits_per_round"`
 		RequiredGbps   float64 `json:"raw_required_gbps_at_1us"`
 		Corrections    uint64  `json:"corrections"`
@@ -327,7 +328,9 @@ func soak(cfg soakConfig) error {
 		f.ReplayedRounds = rec.ReplayedRounds
 	}
 	f.WireTxBytes, f.WireRxBytes = r.WireBytes()
-	f.WireBytesRound = float64(f.WireTxBytes) / (float64(cfg.streams) * float64(cfg.rounds))
+	streamRounds := float64(cfg.streams) * float64(cfg.rounds)
+	f.WireBytesRound = float64(f.WireTxBytes) / streamRounds
+	f.WireRxRound = float64(f.WireRxBytes) / streamRounds
 	f.RawBitsRound = bandwidth.BitsPerRound(cfg.streams, cfg.d)
 	f.RequiredGbps = bandwidth.RequiredGbps(cfg.streams, cfg.d, 1000)
 	f.Corrections = eng.TotalCorrections()

@@ -656,3 +656,103 @@ func TestFleetLaneBatchKillMidBatch(t *testing.T) {
 		t.Fatal("crash went unrecovered")
 	}
 }
+
+// TestFleetMidRoundRecovery kills a shard between two streams of one round:
+// streams before the kill point are already routed into their shards'
+// pending ticks, streams after it are not yet fed. The router must notice
+// the death at the next stream homed on the dead shard and recover right
+// there — journal the round so far, drop the dead shard's tick (the
+// replays resend it), keep the live shard's tick — and end with
+// corrections and ledgers byte-identical to the in-process engine and
+// exactly the one recovery the kill caused. Resending the dead tick or
+// dropping a live one desynchronizes a shard's round sequence, which
+// costs a second recovery (or, with no survivor left, the run).
+func TestFleetMidRoundRecovery(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		restart bool
+		robust  bool
+	}{
+		{name: "failover"},
+		{name: "reconnect", restart: true, robust: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const (
+				streams   = 10
+				rounds    = 150
+				d         = 5
+				p         = 0.012
+				seed      = 19
+				killRound = 70
+				killAfter = 4 // kill between streams 4 and 5 of killRound
+			)
+			shards := []*testShard{
+				newTestShard(t, ShardConfig{CheckpointEvery: 16}),
+				newTestShard(t, ShardConfig{CheckpointEvery: 16}),
+			}
+			cfg := Config{
+				Network: "tcp", Shards: shardAddrs(shards),
+				Streams: streams, Distance: d,
+				Chaos:          chaosCfg(41),
+				HeartbeatEvery: -1,
+			}
+			if tc.robust {
+				cfg.DeadlineNS, cfg.QueueCap = 600, 8
+			}
+			if !tc.restart {
+				cfg.ReconnectAttempts = -1
+			}
+			wantCorrs, wantReps := runEngine(t, cfg, rounds, seed, p, []int{rounds})
+
+			r, err := Dial(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			base := feedFrom(streams, d, p, seed)
+			done := 0
+			recoveredMidRound := false
+			feed := func(i, round int) []int32 {
+				switch {
+				case done+round == killRound && i == killAfter+1:
+					// Streams 0..4 are routed, 0, 2 and 4 into shard 0's tick.
+					shards[0].crash()
+					if tc.restart {
+						shards[0].restart()
+					}
+					for deadline := time.Now().Add(5 * time.Second); r.links[0].up.Load(); {
+						if time.Now().After(deadline) {
+							t.Error("router never noticed the killed shard")
+							break
+						}
+						time.Sleep(time.Millisecond)
+					}
+				case done+round == killRound && i == streams-1:
+					// Stream 6, the first one homed on shard 0 after the
+					// kill, has triggered the recovery.
+					recoveredMidRound = r.Recoveries() == 1
+				}
+				return base(i, round)
+			}
+			for _, n := range []int{killRound - 10, 20, rounds - killRound - 10} {
+				if err := r.RunRounds(n, feed); err != nil {
+					t.Fatal(err)
+				}
+				done += n
+			}
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			checkIdentical(t, r, wantCorrs, wantReps)
+			if !recoveredMidRound {
+				t.Fatal("the recovery did not run inside the kill round")
+			}
+			if n := r.Recoveries(); n != 1 {
+				t.Fatalf("%d recoveries, want exactly the one the kill caused", n)
+			}
+			if rec := r.LastRecovery(); rec.Shard != 0 || rec.Reconnected != tc.restart || rec.Streams != streams/2 {
+				t.Fatalf("unexpected recovery stats: %+v", rec)
+			}
+		})
+	}
+}

@@ -41,17 +41,18 @@ import (
 
 // ProtoVersion is the fleet wire-protocol version. A peer speaking a
 // different version is rejected at decode time — version skew must fail
-// loudly, never mis-decode.
-const ProtoVersion = 1
+// loudly, never mis-decode. Version 2 replaced the per-stream-round and
+// per-correction messages with the batched msgRounds and msgCorrs.
+const ProtoVersion = 2
 
-// Message types. Router→shard: open, round, flush, ping. Shard→router:
-// openOK/refuse, corr, checkpoint, flushOK, pong.
+// Message types. Router→shard: open, rounds, flush, ping, close.
+// Shard→router: openOK/refuse, corrs, checkpoint, flushOK, pong.
 const (
 	msgOpen       = 1  // open or adopt a stream (JSON openPayload)
 	msgOpenOK     = 2  // stream admitted
 	msgRefuse     = 3  // admission refused (payload = reason)
-	msgRound      = 4  // one syndrome round (roundPayload)
-	msgCorr       = 5  // one committed correction (corrPayload)
+	msgRounds     = 4  // a shard-tick of syndrome rounds (roundsPayload)
+	msgCorrs      = 5  // a burst of committed corrections (corrsPayload)
 	msgCheckpoint = 6  // periodic decoder snapshot (ckptPayload)
 	msgFlush      = 7  // flush every stream on the shard
 	msgFlushOK    = 8  // per-stream ledgers (JSON map[uint32]faults.Report)
@@ -82,6 +83,12 @@ const (
 	// bounding it keeps a corrupted length field from provoking a huge
 	// allocation.
 	maxEnvelope = 1 << 22
+
+	// maxBatchPayload is where the router cuts a msgRounds payload: it
+	// stops appending entries once the payload reaches this size and starts
+	// a new envelope, so one entry past the cut still leaves the envelope
+	// far under maxEnvelope.
+	maxBatchPayload = maxEnvelope / 2
 )
 
 var envCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -211,6 +218,42 @@ func decodeRoundPayload(p []byte, per int, out []int32) (seq uint32, events []in
 	return seq, events, false, penaltyNS, err
 }
 
+// roundsPayload carries every stream-round routed to one shard in one tick
+// (or one stretch of a replayed journal), as a sequence of entries:
+//
+//	stream  u32  stream id
+//	len     u32  bytes of the round payload that follows
+//	round        roundPayload
+//
+// Entries for one stream appear in round order; the shard handles them in
+// payload order, exactly as if each had arrived in its own message.
+const roundsEntryHead = 4 + 4
+
+// appendRoundsEntry appends one {stream, len, roundPayload} entry to dst.
+func appendRoundsEntry(dst []byte, id, seq uint32, events []int32, erased bool, penaltyNS float64, per int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, id)
+	at := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // len, patched below
+	dst = appendRoundPayload(dst, seq, events, erased, penaltyNS, per)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
+}
+
+// nextRoundsEntry splits the first entry off a non-empty roundsPayload,
+// returning its stream id, its round payload (undecoded) and the remaining
+// entries. A short entry header or a length past the end is ErrEnvelope.
+func nextRoundsEntry(p []byte) (id uint32, round, rest []byte, err error) {
+	if len(p) < roundsEntryHead {
+		return 0, nil, nil, ErrEnvelope
+	}
+	n := binary.LittleEndian.Uint32(p[4:])
+	if uint64(n) > uint64(len(p)-roundsEntryHead) {
+		return 0, nil, nil, ErrEnvelope
+	}
+	end := roundsEntryHead + int(n)
+	return binary.LittleEndian.Uint32(p), p[roundsEntryHead:end], p[end:], nil
+}
+
 // corrPayload carries one committed correction:
 //
 //	seq     u64  per-stream correction sequence number, 1-based
@@ -231,6 +274,31 @@ func appendCorrPayload(dst []byte, seq uint64, c stream.Correction) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.Qubit))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.Ancilla))
 	return binary.LittleEndian.AppendUint64(dst, uint64(int64(c.Round)))
+}
+
+// corrsPayload carries a burst of corrections as fixed-size entries:
+//
+//	stream  u32  stream id
+//	corr         corrPayload
+//
+// Entries for one stream appear in sequence order. A payload that is not a
+// whole number of entries is corrupt.
+const corrsEntryBytes = 4 + corrPayloadBytes
+
+// appendCorrsEntry appends one {stream, corrPayload} entry to dst.
+func appendCorrsEntry(dst []byte, id uint32, seq uint64, c stream.Correction) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, id)
+	return appendCorrPayload(dst, seq, c)
+}
+
+// nextCorrsEntry decodes the first entry of a non-empty corrsPayload and
+// returns the remaining entries. A partial entry is ErrEnvelope.
+func nextCorrsEntry(p []byte) (id uint32, seq uint64, c stream.Correction, rest []byte, err error) {
+	if len(p) < corrsEntryBytes {
+		return 0, 0, c, nil, ErrEnvelope
+	}
+	seq, c, err = decodeCorrPayload(p[4:corrsEntryBytes])
+	return binary.LittleEndian.Uint32(p), seq, c, p[corrsEntryBytes:], err
 }
 
 func decodeCorrPayload(p []byte) (seq uint64, c stream.Correction, err error) {

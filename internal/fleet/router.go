@@ -161,6 +161,11 @@ type streamState struct {
 	sent      uint64 // rounds journaled (and sent, modulo an in-flight crash)
 	delivered uint64 // last correction seq delivered to the sink
 
+	// next is the stream's staged round: fed and encoded into its link's
+	// tick, not yet journaled. Its events slice is the staging buffer; the
+	// journal takes it over at commit. Caller goroutine only.
+	next journalEntry
+
 	// The bounded replay journal: entries for rounds [jbase, sent), where
 	// jbase equals the last received checkpoint's round count. ckptSnap is
 	// that checkpoint's snapshot JSON (nil before the first checkpoint —
@@ -189,7 +194,12 @@ type link struct {
 	bw   *bufio.Writer
 	gen  uint64
 	wbuf []byte
-	pbuf []byte
+
+	// tick is the roundsPayload being built for this link in the current
+	// round, tickN its entry count. Only the caller goroutine touches them,
+	// and they are empty between rounds.
+	tick  []byte
+	tickN int
 
 	up       atomic.Bool
 	lastPong atomic.Int64 // unix nanos
@@ -206,7 +216,7 @@ type RecoveryStats struct {
 	// journal rounds were replayed to restore them.
 	Streams        int
 	ReplayedRounds int
-	// Detect is the wall time from the crash being detected to recovery
+	// Duration is the wall time from the crash being detected to recovery
 	// completing (reconnect/backoff plus adopt and replay for every
 	// affected stream).
 	Duration time.Duration
@@ -234,6 +244,14 @@ type Router struct {
 	// trimCond (on mu) is broadcast whenever a checkpoint trims a journal;
 	// awaitJournalTrim waits on it instead of sleep-polling mu.
 	trimCond *sync.Cond
+
+	// staged lists the streams whose round is staged but not yet journaled
+	// (journalStaged), over the streams whose journal crossed
+	// JournalMaxBytes at a commit this round, and rbuf is replay's payload
+	// scratch. Caller goroutine only.
+	staged []*streamState
+	over   []*streamState
+	rbuf   []byte
 
 	recoveries   int
 	lastRecovery RecoveryStats
@@ -390,8 +408,8 @@ func (r *Router) reader(l *link, conn net.Conn, gen uint64) {
 			return
 		}
 		switch env.typ {
-		case msgCorr:
-			if err := r.handleCorr(l, env); err != nil {
+		case msgCorrs:
+			if err := r.handleCorrs(l, env.payload); err != nil {
 				r.markDead(l, gen, err, false)
 				return
 			}
@@ -422,33 +440,43 @@ func (r *Router) reader(l *link, conn net.Conn, gen uint64) {
 	}
 }
 
-func (r *Router) handleCorr(l *link, env envelope) error {
-	seq, c, err := decodeCorrPayload(env.payload)
-	if err != nil {
-		return err
-	}
-	i := int(env.stream)
-	if i >= len(r.streams) {
-		return fmt.Errorf("fleet: correction for unknown stream %d", i)
-	}
-	st := r.streams[i]
+// handleCorrs delivers one msgCorrs burst, running the per-stream seq dedup
+// and ordering check for every entry under one r.mu acquisition.
+func (r *Router) handleCorrs(l *link, p []byte) error {
+	var dups, delivered uint64
+	defer func() {
+		fObs.replayDups.Add(l.idx, dups)
+		fObs.corrections.Add(l.idx, delivered)
+	}()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if seq <= st.delivered {
-		// A replay regenerated a correction the fleet already delivered:
-		// the dedup that makes recovery invisible downstream.
-		fObs.replayDups.Inc(l.idx)
-		return nil
-	}
-	if seq != st.delivered+1 {
-		return fmt.Errorf("fleet: stream %d correction seq %d after %d", i, seq, st.delivered)
-	}
-	st.delivered = seq
-	fObs.corrections.Inc(l.idx)
-	if r.cfg.Sink != nil {
-		r.cfg.Sink(i, c)
-	} else {
-		r.retain[i] = append(r.retain[i], c)
+	for len(p) > 0 {
+		id, seq, c, rest, err := nextCorrsEntry(p)
+		if err != nil {
+			return err
+		}
+		p = rest
+		i := int(id)
+		if i >= len(r.streams) {
+			return fmt.Errorf("fleet: correction for unknown stream %d", i)
+		}
+		st := r.streams[i]
+		if seq <= st.delivered {
+			// A replay regenerated a correction the fleet already
+			// delivered: the dedup that makes recovery invisible downstream.
+			dups++
+			continue
+		}
+		if seq != st.delivered+1 {
+			return fmt.Errorf("fleet: stream %d correction seq %d after %d", i, seq, st.delivered)
+		}
+		st.delivered = seq
+		delivered++
+		if r.cfg.Sink != nil {
+			r.cfg.Sink(i, c)
+		} else {
+			r.retain[i] = append(r.retain[i], c)
+		}
 	}
 	return nil
 }
@@ -682,25 +710,20 @@ func (r *Router) place(st *streamState) error {
 
 // replay re-sends st's captured journal to l: rounds [plan.base, sent at
 // capture) with their original sequence numbers, fault outcomes and
-// penalties. The shard regenerates any corrections the fleet already
-// delivered; seq dedup drops them.
+// penalties, packed into msgRounds envelopes cut at maxBatchPayload. The
+// shard regenerates any corrections the fleet already delivered; seq dedup
+// drops them.
 func (r *Router) replay(st *streamState, l *link, plan replayPlan) error {
 	entries := plan.entries
-	base := plan.base
 	for k := range entries {
 		e := &entries[k]
-		l.wmu.Lock()
-		if !l.up.Load() {
-			l.wmu.Unlock()
-			return errShardDown
-		}
-		gen := l.gen
-		l.pbuf = appendRoundPayload(l.pbuf[:0], uint32(base+uint64(k)), e.events, e.erased, e.penalty, r.per)
-		err := r.sendLocked(l, msgRound, uint32(st.id), l.pbuf)
-		l.wmu.Unlock()
-		if err != nil {
-			r.markDead(l, gen, err, false)
-			return errShardDown
+		r.rbuf = appendRoundsEntry(r.rbuf, uint32(st.id), uint32(plan.base+uint64(k)), e.events, e.erased, e.penalty, r.per)
+		if len(r.rbuf) >= maxBatchPayload || k == len(entries)-1 {
+			err := r.write(l, msgRounds, 0, r.rbuf)
+			r.rbuf = r.rbuf[:0]
+			if err != nil {
+				return err
+			}
 		}
 	}
 	if len(entries) > 0 {
@@ -715,9 +738,15 @@ func (r *Router) replay(st *streamState, l *link, plan replayPlan) error {
 // stream it was decoding, restoring each from its last checkpoint and
 // replaying its journal. On return every affected stream is live again (or
 // an error says the fleet is out of capacity).
+//
+// Every staged round is journaled first, so the replays cover the rounds
+// already routed this tick; the dead link's pending tick is dropped, since
+// those replays resend it. Ticks pending for live links stay and are sent.
 func (r *Router) recover(idx int) error {
 	start := time.Now()
 	l := r.links[idx]
+	r.journalStaged()
+	l.tick, l.tickN = l.tick[:0], 0
 	reconnected := false
 	attempts := r.cfg.reconnectAttempts()
 	backoff := r.cfg.reconnectBackoff()
@@ -741,16 +770,10 @@ func (r *Router) recover(idx int) error {
 	replayedBefore := fObs.replayed.Value()
 	for _, st := range affected {
 		st.cur = -1
-		var err error
-		if reconnected {
-			// Prefer the reborn shard; fall back to the survivors if it
-			// refuses or dies again.
-			err = r.place(st)
-		} else {
-			// Immediate failover: place skips the dead link.
-			err = r.place(st)
-		}
-		if err != nil {
+		// Reconnected: place prefers the reborn shard and falls back to the
+		// survivors if it refuses or dies again. Otherwise this is an
+		// immediate failover: place skips the dead link.
+		if err := r.place(st); err != nil {
 			return err
 		}
 		if st.cur != idx {
@@ -768,28 +791,95 @@ func (r *Router) recover(idx int) error {
 	return nil
 }
 
-// sendRound journals and sends one post-chaos round for st. The journal
-// append happens first, so a send that dies mid-flight is replayed by the
-// recovery the failure triggers.
-func (r *Router) sendRound(st *streamState, events []int32, erased bool, penalty float64) error {
-	r.mu.Lock()
-	var ev []int32
-	if n := len(st.free); n > 0 && !erased {
-		ev = append(st.free[n-1], events...)
-		st.free = st.free[:n-1]
-	} else if !erased {
-		ev = append([]int32(nil), events...)
+// stage routes one post-chaos round of st: it encodes the round into the
+// tick of st's link and holds it in st.next for journalStaged. A tick that
+// reaches maxBatchPayload is sent before the round ends.
+func (r *Router) stage(st *streamState, events []int32, erased bool, penalty float64) error {
+	if erased {
+		events = nil
+	} else {
+		st.next.events = append(st.next.events[:0], events...)
+		events = st.next.events
 	}
-	seq := st.sent
-	st.journal = append(st.journal, journalEntry{events: ev, erased: erased, penalty: penalty})
-	st.jbytes += journalEntryCost(ev)
-	st.sent++
-	budget := r.cfg.journalMaxBytes()
-	over := budget > 0 && st.jbytes > budget
-	r.mu.Unlock()
-
+	st.next.erased, st.next.penalty = erased, penalty
+	r.staged = append(r.staged, st)
 	l := r.links[st.cur]
-	if over {
+	l.tick = appendRoundsEntry(l.tick, uint32(st.id), uint32(st.sent), events, erased, penalty, r.per)
+	l.tickN++
+	if len(l.tick) < maxBatchPayload {
+		return nil
+	}
+	r.journalStaged()
+	if r.sendTick(l) != nil {
+		return r.recover(l.idx)
+	}
+	return nil
+}
+
+// journalStaged appends every staged round to its stream's replay journal
+// under one r.mu acquisition. It runs before any tick leaves the router (a
+// shard must not checkpoint a round the router has not journaled) and
+// before any recovery (so the replays include the rounds already routed).
+// The journal takes over each staged events slice, and the stream stages
+// its next round into a recycled one.
+func (r *Router) journalStaged() {
+	if len(r.staged) == 0 {
+		return
+	}
+	budget := r.cfg.journalMaxBytes()
+	r.mu.Lock()
+	for _, st := range r.staged {
+		e := st.next
+		if e.erased {
+			e.events = nil
+		} else {
+			st.next.events = nil
+			if n := len(st.free); n > 0 {
+				st.next.events = st.free[n-1]
+				st.free = st.free[:n-1]
+			}
+		}
+		st.journal = append(st.journal, e)
+		st.jbytes += journalEntryCost(e.events)
+		st.sent++
+		if budget > 0 && st.jbytes > budget {
+			r.over = append(r.over, st)
+		}
+	}
+	r.mu.Unlock()
+	r.staged = r.staged[:0]
+}
+
+// sendTick writes l's pending tick as one msgRounds envelope and empties
+// it. The caller has journaled the staged rounds.
+func (r *Router) sendTick(l *link) error {
+	n := l.tickN
+	err := r.write(l, msgRounds, 0, l.tick)
+	l.tick, l.tickN = l.tick[:0], 0
+	if err == nil {
+		fObs.roundsRouted.Add(l.idx, uint64(n))
+	}
+	return err
+}
+
+// endTick closes a round: it journals the staged rounds, sends one tick per
+// link, and then enforces the journal byte cap on every stream that crossed
+// it. A link that fails its write is recovered; the other links' ticks are
+// still sent.
+func (r *Router) endTick() error {
+	r.journalStaged()
+	for _, l := range r.links {
+		if l.tickN == 0 {
+			continue
+		}
+		if r.sendTick(l) != nil {
+			if err := r.recover(l.idx); err != nil {
+				return err
+			}
+		}
+	}
+	budget := r.cfg.journalMaxBytes()
+	for _, st := range r.over {
 		// The journal is over budget: the shard has taken a cap's worth of
 		// rounds without a checkpoint. Flush the link (it cannot checkpoint
 		// rounds still sitting in our write buffer) and give it a bounded
@@ -799,35 +889,22 @@ func (r *Router) sendRound(st *streamState, events []int32, erased bool, penalty
 		// wedged: shed it. Declaring the session dead routes this through
 		// the same recovery as a crash — the journal is replayed (nothing
 		// sheds data), and the adopting shard's first checkpoint trims it.
-		if r.flushLink(l) != nil {
-			return errShardDown
-		}
-		if !r.awaitJournalTrim(st, budget) {
+		l := r.links[st.cur]
+		if r.flushLink(l) == nil {
+			if r.awaitJournalTrim(st, budget) {
+				continue
+			}
 			fObs.journalSheds.Inc(l.idx)
 			l.wmu.Lock()
 			gen := l.gen
 			l.wmu.Unlock()
 			r.markDead(l, gen, errJournalOverflow, false)
-			return errShardDown
+		}
+		if err := r.recover(l.idx); err != nil {
+			return err
 		}
 	}
-	if !l.up.Load() {
-		return errShardDown
-	}
-	l.wmu.Lock()
-	if !l.up.Load() {
-		l.wmu.Unlock()
-		return errShardDown
-	}
-	gen := l.gen
-	l.pbuf = appendRoundPayload(l.pbuf[:0], uint32(seq), ev, erased, penalty, r.per)
-	err := r.sendLocked(l, msgRound, uint32(st.id), l.pbuf)
-	l.wmu.Unlock()
-	if err != nil {
-		r.markDead(l, gen, err, false)
-		return errShardDown
-	}
-	fObs.roundsRouted.Inc(l.idx)
+	r.over = r.over[:0]
 	return nil
 }
 
@@ -871,10 +948,11 @@ const flushEveryRounds = 16
 // events from feed(stream, round) — invoked exactly once per (stream,
 // round), in round order per stream, exactly like stream.Engine.RunRounds.
 // Each round passes through the stream's chaos channel (when configured),
-// is journaled, and is routed to the stream's shard; a shard crash anywhere
-// in the batch triggers recovery (reconnect or failover plus replay) and
-// the batch continues. Corrections arrive asynchronously; Flush is the
-// barrier that makes them all visible.
+// is journaled, and is routed to the stream's shard: one msgRounds envelope
+// per shard per round carries every stream-round routed to it. A shard
+// crash anywhere in the batch, mid-round included, triggers recovery
+// (reconnect or failover plus replay) and the batch continues. Corrections
+// arrive asynchronously; Flush is the barrier that makes them all visible.
 func (r *Router) RunRounds(n int, feed func(stream, round int) []int32) error {
 	if r.closed || r.ended {
 		return errors.New("fleet: router used after Flush or Close")
@@ -887,11 +965,19 @@ func (r *Router) RunRounds(n int, feed func(stream, round int) []int32) error {
 			if st.ch != nil {
 				events, erased, penalty = st.ch.Transfer(events)
 			}
-			if err := r.sendRound(st, events, erased, penalty); err != nil {
+			if !r.links[st.cur].up.Load() {
+				// The stream's shard died (its reader or heartbeat noticed):
+				// recover before routing to it.
 				if err := r.recover(st.cur); err != nil {
 					return err
 				}
 			}
+			if err := r.stage(st, events, erased, penalty); err != nil {
+				return err
+			}
+		}
+		if err := r.endTick(); err != nil {
+			return err
 		}
 		if (round+1)%flushEveryRounds == 0 {
 			if err := r.flushAll(); err != nil {
@@ -1097,9 +1183,7 @@ func (r *Router) Rebalance() error {
 		// implicit.
 		if interim.up.Load() {
 			if r.write(interim, msgClose, uint32(st.id), nil) == nil {
-				if err := r.flushLink(interim); err == nil {
-					// dropped cleanly
-				}
+				r.flushLink(interim)
 			}
 		}
 		ok, _, plan, err := r.openOn(st, home)

@@ -73,8 +73,15 @@ func Serve(l net.Listener, cfg ShardConfig) error {
 	}
 }
 
+// corrBurstBytes bounds the session's correction buffer: past it the burst
+// goes out as its own msgCorrs instead of waiting for the next message or
+// idle boundary. It stays under the 64 KiB socket writer, so buffering
+// corrections never holds them longer than the writer would.
+const corrBurstBytes = 16 << 10
+
 // shardStream is one logical-qubit stream resident on the shard.
 type shardStream struct {
+	id      uint32
 	dec     *stream.Decoder
 	per     int
 	rounds  uint64 // rounds ingested (resumes from the adopted checkpoint)
@@ -95,7 +102,17 @@ type shardSession struct {
 	wbuf    []byte // envelope write scratch
 	pbuf    []byte // payload write scratch
 	streams map[uint32]*shardStream
-	werr    error // sticky write error, surfaced at the next message boundary
+	// order holds the resident streams in ascending id, maintained at open,
+	// close and flush, so lane flushes and fleet flushes walk streams in a
+	// fixed order without sorting.
+	order []*shardStream
+	werr  error // sticky write error, surfaced at the next message boundary
+
+	// corrs is the pending correction burst (corrsPayload entries). Every
+	// stream's correction sink appends here; send writes the burst out
+	// before any other message, so corrections always precede the
+	// checkpoint or flush ledger that counts them.
+	corrs []byte
 
 	// lane is the session's cross-stream lane batcher. Streams opened
 	// without robust settings defer their window decodes
@@ -104,13 +121,30 @@ type shardSession struct {
 	// arrives for a stream that is already pending (its window must resolve
 	// before the next ingest), at the session idle boundary (liveness:
 	// corrections must not wait for more traffic), and at the head of a
-	// fleet flush. laneIDs/laneDecs are reused scratch.
+	// fleet flush. laneDecs is reused scratch.
 	lane     *stream.LaneBatcher
-	laneIDs  []uint32
 	laneDecs []*stream.Decoder
 }
 
+// send writes one message, preceded by the pending correction burst.
 func (s *shardSession) send(typ uint8, id uint32, payload []byte) error {
+	if err := s.sendCorrs(); err != nil {
+		return err
+	}
+	return s.write(typ, id, payload)
+}
+
+// sendCorrs writes the pending correction burst as one msgCorrs.
+func (s *shardSession) sendCorrs() error {
+	if len(s.corrs) == 0 {
+		return nil
+	}
+	err := s.write(msgCorrs, 0, s.corrs)
+	s.corrs = s.corrs[:0]
+	return err
+}
+
+func (s *shardSession) write(typ uint8, id uint32, payload []byte) error {
 	s.wbuf = appendEnvelope(s.wbuf[:0], typ, id, payload)
 	_, err := s.bw.Write(s.wbuf)
 	return err
@@ -132,6 +166,9 @@ func session(conn net.Conn, cfg ShardConfig) error {
 		// wait on each other.
 		if s.br.Buffered() == 0 {
 			s.flushPendingLanes()
+			if err := s.sendCorrs(); err != nil {
+				return err
+			}
 			if err := s.bw.Flush(); err != nil {
 				return err
 			}
@@ -153,13 +190,27 @@ func (s *shardSession) handle(env envelope) error {
 	switch env.typ {
 	case msgOpen:
 		return s.handleOpen(env)
-	case msgRound:
-		return s.handleRound(env)
+	case msgRounds:
+		for p := env.payload; len(p) > 0; {
+			id, round, rest, err := nextRoundsEntry(p)
+			if err != nil {
+				return fmt.Errorf("fleet: rounds envelope: %w", err)
+			}
+			if err := s.handleRound(id, round); err != nil {
+				return err
+			}
+			p = rest
+		}
+		return nil
 	case msgClose:
 		// The stream moved to another shard (rebalance): drop it without a
 		// flush — its state travels in the router's checkpoint + journal,
 		// and flushing here would double-count its ledger.
-		delete(s.streams, env.stream)
+		if st, ok := s.streams[env.stream]; ok {
+			delete(s.streams, env.stream)
+			k := s.orderIndex(st.id)
+			s.order = append(s.order[:k], s.order[k+1:]...)
+		}
 		return nil
 	case msgFlush:
 		return s.handleFlush()
@@ -206,6 +257,7 @@ func (s *shardSession) handleOpen(env envelope) error {
 		}
 	}
 	st := &shardStream{
+		id:      id,
 		dec:     dec,
 		per:     op.Distance * (op.Distance - 1),
 		rounds:  op.Rounds,
@@ -217,27 +269,40 @@ func (s *shardSession) handleOpen(env envelope) error {
 	// is exactly what lets the router dedup them.
 	st.dec.SetSink(func(c stream.Correction) {
 		st.corrSeq++
-		s.pbuf = appendCorrPayload(s.pbuf[:0], st.corrSeq, c)
-		if err := s.send(msgCorr, id, s.pbuf); err != nil && s.werr == nil {
-			s.werr = err
+		s.corrs = appendCorrsEntry(s.corrs, id, st.corrSeq, c)
+		if len(s.corrs) >= corrBurstBytes {
+			if err := s.sendCorrs(); err != nil && s.werr == nil {
+				s.werr = err
+			}
 		}
 	})
 	s.streams[id] = st
+	k := s.orderIndex(id)
+	s.order = append(s.order, nil)
+	copy(s.order[k+1:], s.order[k:])
+	s.order[k] = st
 	return s.send(msgOpenOK, id, nil)
+}
+
+// orderIndex returns the position of id in s.order, or where it belongs.
+func (s *shardSession) orderIndex(id uint32) int {
+	return sort.Search(len(s.order), func(k int) bool { return s.order[k].id >= id })
 }
 
 func (s *shardSession) refuse(id uint32, reason string) error {
 	return s.send(msgRefuse, id, []byte(reason))
 }
 
-func (s *shardSession) handleRound(env envelope) error {
-	st, ok := s.streams[env.stream]
+// handleRound ingests one entry of a msgRounds envelope: stream id's round
+// payload.
+func (s *shardSession) handleRound(id uint32, payload []byte) error {
+	st, ok := s.streams[id]
 	if !ok {
-		return fmt.Errorf("fleet: round for unknown stream %d", env.stream)
+		return fmt.Errorf("fleet: round for unknown stream %d", id)
 	}
-	seq, events, erased, pen, err := decodeRoundPayload(env.payload, st.per, st.out[:0])
+	seq, events, erased, pen, err := decodeRoundPayload(payload, st.per, st.out[:0])
 	if err != nil {
-		return fmt.Errorf("fleet: stream %d round: %w", env.stream, err)
+		return fmt.Errorf("fleet: stream %d round: %w", id, err)
 	}
 	st.out = events[:0]
 	// End-to-end ordering check: the round-frame sequence number must match
@@ -245,7 +310,7 @@ func (s *shardSession) handleRound(env envelope) error {
 	// out of order or the router's journal drifted — either way decoding on
 	// would silently corrupt, so the session dies and recovery replays.
 	if seq != uint32(st.rounds) {
-		return fmt.Errorf("fleet: stream %d got round seq %d, want %d", env.stream, seq, uint32(st.rounds))
+		return fmt.Errorf("fleet: stream %d got round seq %d, want %d", id, seq, uint32(st.rounds))
 	}
 	if st.dec.Pending() {
 		// The stream's previous window is still deferred and the ring has no
@@ -258,14 +323,14 @@ func (s *shardSession) handleRound(env envelope) error {
 	if erased {
 		st.dec.PushErased()
 	} else if err := st.dec.PushLayer(events); err != nil {
-		return fmt.Errorf("fleet: stream %d: %w", env.stream, err)
+		return fmt.Errorf("fleet: stream %d: %w", id, err)
 	}
 	st.rounds++
 	if s.werr != nil {
 		return s.werr
 	}
 	if st.rounds-st.ckptAt >= uint64(s.cfg.ckptEvery()) {
-		return s.checkpoint(env.stream, st)
+		return s.checkpoint(id, st)
 	}
 	return nil
 }
@@ -278,28 +343,23 @@ func (s *shardSession) handleRound(env envelope) error {
 // but grouping never changes any stream's corrections, only the cross-stream
 // interleaving on the wire.
 func (s *shardSession) flushPendingLanes() {
-	s.laneIDs = s.laneIDs[:0]
-	for id, st := range s.streams {
+	s.laneDecs = s.laneDecs[:0]
+	for _, st := range s.order {
 		if st.dec.Pending() {
-			s.laneIDs = append(s.laneIDs, id)
+			s.laneDecs = append(s.laneDecs, st.dec)
 		}
 	}
-	if len(s.laneIDs) == 0 {
+	if len(s.laneDecs) == 0 {
 		return
-	}
-	sort.Slice(s.laneIDs, func(i, j int) bool { return s.laneIDs[i] < s.laneIDs[j] })
-	s.laneDecs = s.laneDecs[:0]
-	for _, id := range s.laneIDs {
-		s.laneDecs = append(s.laneDecs, s.streams[id].dec)
 	}
 	s.lane.Decode(s.laneDecs)
 }
 
 // checkpoint snapshots the stream and ships it to the router, which trims
-// its replay journal up to the snapshot's round count on receipt. The
-// corrections the sink emitted while decoding this round precede the
-// checkpoint on the wire, so by the time the router processes it, every
-// correction the snapshot assumes delivered has been.
+// its replay journal up to the snapshot's round count on receipt. send
+// writes the pending correction burst first, so by the time the router
+// processes the checkpoint, every correction the snapshot assumes delivered
+// has been.
 func (s *shardSession) checkpoint(id uint32, st *shardStream) error {
 	snap, err := json.Marshal(st.dec.Snapshot())
 	if err != nil {
@@ -319,21 +379,16 @@ func (s *shardSession) checkpoint(id uint32, st *shardStream) error {
 // wants more.
 func (s *shardSession) handleFlush() error {
 	s.flushPendingLanes()
-	ids := make([]uint32, 0, len(s.streams))
-	for id := range s.streams {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ledgers := make(map[uint32]faults.Report, len(ids))
-	for _, id := range ids {
-		st := s.streams[id]
+	ledgers := make(map[uint32]faults.Report, len(s.order))
+	for _, st := range s.order {
 		st.dec.Flush()
 		if s.werr != nil {
 			return s.werr
 		}
-		ledgers[id] = st.dec.Report()
-		delete(s.streams, id)
+		ledgers[st.id] = st.dec.Report()
+		delete(s.streams, st.id)
 	}
+	s.order = s.order[:0]
 	blob, err := json.Marshal(ledgers)
 	if err != nil {
 		return err
